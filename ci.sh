@@ -33,8 +33,9 @@ go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpa
 # (>2x allocs/op fails — machine-independent, so any excursion is a real
 # hot-path regression); wall time gets a generous 5x to absorb machine
 # variation. See bench_guard_test.go for how to regenerate the envelope
-# after an intentional performance change.
-QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short .
+# after an intentional performance change. internal/cpu guards the core
+# model's per-op cost (BenchmarkCoreFeed, 0 allocs/op) the same way.
+QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short . ./internal/cpu
 
 # Fault-injection smoke: a replayable chaos schedule through every
 # structure kind must resolve every query without panicking the

@@ -1,0 +1,65 @@
+// Package benchguard is the benchmark-regression gate shared by the
+// packages whose benchmarks BENCH_guard.json pins (the ci.sh
+// bench-guard stage runs each package's TestBenchGuard with
+// QEI_BENCH_GUARD=1). Allocations are the hard gate — allocs/op is
+// machine-independent, so exceeding the envelope by the strict factor
+// means a real regression (a builder no longer pooled, a map back on the
+// hot path). Wall time gets a generous factor since CI machines vary.
+package benchguard
+
+import (
+	"encoding/json"
+	"os"
+	"testing"
+)
+
+const (
+	allocsFactor = 2 // hard gate: >2x committed allocs/op fails
+	nsFactor     = 5 // soft gate: absorbs CI machine variation
+)
+
+// Check benchmarks each of benches and compares it against its entry in
+// the JSON envelope at path. It skips unless QEI_BENCH_GUARD is set.
+func Check(t *testing.T, path string, benches map[string]func(*testing.B)) {
+	t.Helper()
+	if os.Getenv("QEI_BENCH_GUARD") == "" {
+		t.Skip("set QEI_BENCH_GUARD=1 to run the benchmark regression guard (ci.sh bench-guard stage does)")
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read envelope: %v", err)
+	}
+	var envelope map[string]struct {
+		AllocsPerOp int64 `json:"allocs_per_op"`
+		NsPerOp     int64 `json:"ns_per_op"`
+	}
+	if err := json.Unmarshal(data, &envelope); err != nil {
+		t.Fatalf("parse envelope: %v", err)
+	}
+
+	for name, fn := range benches {
+		limit, ok := envelope[name]
+		if !ok {
+			t.Errorf("%s: no envelope entry in %s", name, path)
+			continue
+		}
+		r := testing.Benchmark(fn)
+		if r.N == 0 {
+			t.Errorf("%s: benchmark did not run", name)
+			continue
+		}
+		allocs := r.AllocsPerOp()
+		ns := r.NsPerOp()
+		t.Logf("%s: %d ns/op, %d allocs/op (envelope %d ns/op, %d allocs/op)",
+			name, ns, allocs, limit.NsPerOp, limit.AllocsPerOp)
+		if allocs > allocsFactor*limit.AllocsPerOp {
+			t.Errorf("%s: %d allocs/op exceeds %dx envelope (%d): allocation regression on the hot path",
+				name, allocs, allocsFactor, limit.AllocsPerOp)
+		}
+		if ns > nsFactor*limit.NsPerOp {
+			t.Errorf("%s: %d ns/op exceeds %dx envelope (%d): wall-clock regression",
+				name, ns, nsFactor, limit.NsPerOp)
+		}
+	}
+}

@@ -134,9 +134,11 @@ type Core struct {
 	// storeRing: ditto for stores.
 	storeRing []uint64
 
-	seq        uint64 // dynamic instruction index
-	loadSeq    uint64
-	storeSeq   uint64
+	// Ring positions of the next instruction's ROB slot and the next
+	// load's / store's queue slot, wrapped by compare rather than modulo.
+	robPos     int
+	lqPos      int
+	sqPos      int
 	fetchCycle uint64 // cycle the next fetch group is available
 	fetchSlots int    // ops already issued in fetchCycle
 	lastRetire uint64
@@ -208,6 +210,14 @@ func max2(a, b uint64) uint64 {
 	return b
 }
 
+// advance steps a ring position, wrapping at n.
+func advance(pos, n int) int {
+	if pos++; pos == n {
+		return 0
+	}
+	return pos
+}
+
 // Feed executes one micro-op, returning its completion cycle.
 func (c *Core) Feed(op *isa.Op) uint64 {
 	if c.err != nil {
@@ -218,8 +228,7 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 	dispatch := c.frontendSlot()
 
 	// ROB: the instruction ROBEntries older must have retired.
-	robIdx := c.seq % uint64(len(c.retireRing))
-	if free := c.retireRing[robIdx]; free > dispatch {
+	if free := c.retireRing[c.robPos]; free > dispatch {
 		c.stats.ROBStallCycles += free - dispatch
 		dispatch = free
 	}
@@ -246,8 +255,7 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 
 	case isa.Load:
 		c.stats.Loads++
-		lqIdx := c.loadSeq % uint64(len(c.loadRing))
-		if free := c.loadRing[lqIdx]; free > start {
+		if free := c.loadRing[c.lqPos]; free > start {
 			c.stats.LQStallCycles += free - start
 			start = free
 		}
@@ -260,8 +268,7 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 
 	case isa.Store:
 		c.stats.Stores++
-		sqIdx := c.storeSeq % uint64(len(c.storeRing))
-		if free := c.storeRing[sqIdx]; free > start {
+		if free := c.storeRing[c.sqPos]; free > start {
 			start = free
 		}
 		// Stores complete at address+data ready; the writeback drains
@@ -285,8 +292,7 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 		c.stats.Queries++
 		// Blocking query: like a load — occupies an LQ slot and the ROB
 		// until the accelerator returns the result (Sec. IV-C).
-		lqIdx := c.loadSeq % uint64(len(c.loadRing))
-		if free := c.loadRing[lqIdx]; free > start {
+		if free := c.loadRing[c.lqPos]; free > start {
 			c.stats.LQStallCycles += free - start
 			start = free
 		}
@@ -301,8 +307,7 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 
 	case isa.QueryNB:
 		c.stats.Queries++
-		sqIdx := c.storeSeq % uint64(len(c.storeRing))
-		if free := c.storeRing[sqIdx]; free > start {
+		if free := c.storeRing[c.sqPos]; free > start {
 			start = free
 		}
 		issue := start + c.cfg.QueryIssueCost
@@ -331,16 +336,16 @@ func (c *Core) Feed(op *isa.Op) uint64 {
 		c.retireInCy = 1
 	}
 	c.lastRetire = retire
-	c.retireRing[robIdx] = retire
+	c.retireRing[c.robPos] = retire
+	c.robPos = advance(c.robPos, len(c.retireRing))
 	if op.Kind == isa.Load || op.Kind == isa.QueryB {
-		c.loadRing[c.loadSeq%uint64(len(c.loadRing))] = retire
-		c.loadSeq++
+		c.loadRing[c.lqPos] = retire
+		c.lqPos = advance(c.lqPos, len(c.loadRing))
 	}
 	if op.Kind == isa.Store || op.Kind == isa.QueryNB {
-		c.storeRing[c.storeSeq%uint64(len(c.storeRing))] = retire
-		c.storeSeq++
+		c.storeRing[c.sqPos] = retire
+		c.sqPos = advance(c.sqPos, len(c.storeRing))
 	}
-	c.seq++
 	c.stats.Instructions++
 	return complete
 }

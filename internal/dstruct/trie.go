@@ -1,6 +1,8 @@
 package dstruct
 
 import (
+	"math/bits"
+
 	"qei/internal/mem"
 )
 
@@ -54,6 +56,24 @@ type hostTrieNode struct {
 	fail     *hostTrieNode
 	output   uint64
 	addr     mem.VAddr
+}
+
+// childBytes writes n's child bytes into buf in ascending order — the
+// deterministic layout order — and returns them. It visits the children
+// once, through a 256-bit set, instead of probing the map per byte value.
+func (n *hostTrieNode) childBytes(buf *[256]byte) []byte {
+	var set [4]uint64
+	for b := range n.children {
+		set[b>>6] |= 1 << (b & 63)
+	}
+	k := 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			buf[k] = byte(w<<6 | bits.TrailingZeros64(word))
+			k++
+		}
+	}
+	return buf[:k]
 }
 
 // BuildTrie compiles the keyword dictionary into an Aho-Corasick
@@ -118,10 +138,9 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 	collect = func(n *hostTrieNode) {
 		all = append(all, n)
 		// Deterministic order: sorted bytes.
-		for b := 0; b < 256; b++ {
-			if c, ok := n.children[byte(b)]; ok {
-				collect(c)
-			}
+		var buf [256]byte
+		for _, b := range n.childBytes(&buf) {
+			collect(n.children[b])
 		}
 	}
 	collect(root)
@@ -149,27 +168,17 @@ func BuildTrie(as *mem.AddressSpace, keywords [][]byte, values []uint64) *Trie {
 			cnt[2] = trieKindDense
 		}
 		as.MustWrite(n.addr+trieOffCount, cnt)
-		if dense {
-			for b := 0; b < 256; b++ {
-				c, ok := n.children[byte(b)]
-				if !ok {
-					continue
-				}
-				as.MustWrite(n.addr+trieOffEdges+mem.VAddr(b*8), encodeU64(uint64(c.addr)))
-			}
-			continue
-		}
-		i := 0
-		for b := 0; b < 256; b++ {
-			c, ok := n.children[byte(b)]
-			if !ok {
+		var buf [256]byte
+		for i, b := range n.childBytes(&buf) {
+			c := n.children[b]
+			if dense {
+				as.MustWrite(n.addr+trieOffEdges+mem.VAddr(int(b)*8), encodeU64(uint64(c.addr)))
 				continue
 			}
 			edge := make([]byte, trieEdgeSize)
-			edge[0] = byte(b)
+			edge[0] = b
 			putU64(edge[8:], uint64(c.addr))
 			as.MustWrite(n.addr+trieOffEdges+mem.VAddr(i*trieEdgeSize), edge)
-			i++
 		}
 	}
 

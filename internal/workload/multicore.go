@@ -66,9 +66,14 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 			accels[c] = base.ViewForCore(c)
 		}
 	}
+	// One builder per core, reset before each batch: the core consumes
+	// each trace synchronously, and Reset is byte-identical to a fresh
+	// builder.
 	cpus := make([]*cpu.Core, cores)
+	builders := make([]*isa.Builder, cores)
 	for c := 0; c < cores; c++ {
 		cpus[c] = m.NewCore(c, accels[c])
+		builders[c] = isa.NewBuilder()
 	}
 
 	// Split requests across cores, flatten to probes.
@@ -91,8 +96,6 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 	// would produce.
 	batch := 10
 	offsets := make([]int, cores)
-	remaining := res.Queries
-	_ = remaining
 	for {
 		progress := false
 		for c := 0; c < cores; c++ {
@@ -105,7 +108,8 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 			if end > len(probes) {
 				end = len(probes)
 			}
-			b := isa.NewBuilder()
+			b := builders[c]
+			b.Reset()
 			for _, p := range probes[offsets[c]:end] {
 				b.ALUN(6, 0)
 				r := b.QueryB(isa.QueryDesc{
@@ -122,7 +126,7 @@ func RunMultiCore(bench Benchmark, kind scheme.Kind, cores int) (MultiCoreResult
 				res.Queries++
 			}
 			offsets[c] = end
-			cpus[c].Run(b.Take())
+			cpus[c].Run(b.Ops())
 			if err := cpus[c].Err(); err != nil {
 				return res, err
 			}

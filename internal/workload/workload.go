@@ -245,31 +245,68 @@ func applyMemoryDelta(r *Run, before, after memSnapshot) {
 	r.PageWalks = after.walks - before.walks
 }
 
-// emitNonROI appends the request's surrounding work to b: parsing,
-// copying, and bookkeeping modelled as short dependent chains seeded by
+// feedNonROI streams the request's surrounding work straight into core,
+// one op at a time, without materialising a trace: parsing, copying,
+// and bookkeeping modelled as short dependent chains seeded by
 // cache-resident loads, the IPC≈1.5 shape of real protocol-processing
-// code. seed, when non-zero, makes the work depend on a query result
-// register (the accelerated rewrite consumes results, List 2).
-func emitNonROI(b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
+// code. Destination registers come from b's allocator, so numbering
+// continues where the ops already built into b left it. seed, when
+// non-zero, makes the work depend on a query result register (the
+// accelerated rewrite consumes results, List 2).
+//
+// The op pattern is fixed by position i within the request: a load into
+// Scratch every NonROILoadEvery ops, else a chain-extending ALU op when
+// i%3 == 0, a well-predicted branch when i%7 == 6, and independent
+// scalar work otherwise. Running counters stand in for the modulos.
+func feedNonROI(core *cpu.Core, b *isa.Builder, plan *Plan, reqIdx int, seed isa.Reg) {
 	if plan.NonROIOps <= 0 {
 		return
 	}
+	loadEvery := plan.NonROILoadEvery
+	if plan.Scratch == 0 {
+		loadEvery = 0
+	}
+	// off is the scratch offset of the next load; each load advances it
+	// by loadEvery 8-byte words, wrapping within the scratch area.
+	var off, step uint64
+	if loadEvery > 0 {
+		off = uint64(reqIdx*64) % plan.scratchSize
+		step = uint64(loadEvery*8) % plan.scratchSize
+	}
 	chain := seed
+	var op isa.Op
+	sinceLoad, mod3, mod7 := 0, 0, 0 // i%loadEvery, i%3, i%7
 	for i := 0; i < plan.NonROIOps; i++ {
 		switch {
-		case plan.NonROILoadEvery > 0 && i%plan.NonROILoadEvery == 0 && plan.Scratch != 0:
-			off := uint64(reqIdx*64+i*8) % plan.scratchSize
-			chain = b.Load(plan.Scratch+mem.VAddr(off&^7), 8, 0)
-		case i%3 == 0:
-			chain = b.ALU(chain, 0) // dependent on the running chain
-		case i%7 == 6:
-			b.Branch(chain, false) // well-predicted control flow
+		case loadEvery > 0 && sinceLoad == 0:
+			chain = b.Temp()
+			op = isa.Op{Kind: isa.Load, Dst: chain, Addr: plan.Scratch + mem.VAddr(off&^7), Size: 8}
+			if off += step; off >= plan.scratchSize {
+				off -= plan.scratchSize
+			}
+		case mod3 == 0:
+			dst := b.Temp()
+			op = isa.Op{Kind: isa.ALU, Dst: dst, Src1: chain} // extends the running chain
+			chain = dst
+		case mod7 == 6:
+			op = isa.Op{Kind: isa.Branch, Src1: chain} // well-predicted control flow
 		default:
-			b.ALU(0, 0) // independent scalar work
+			op = isa.Op{Kind: isa.ALU, Dst: b.Temp()} // independent scalar work
+		}
+		core.Feed(&op)
+		if sinceLoad++; sinceLoad == loadEvery {
+			sinceLoad = 0
+		}
+		if mod3++; mod3 == 3 {
+			mod3 = 0
+		}
+		if mod7++; mod7 == 7 {
+			mod7 = 0
 		}
 	}
 	// A data-dependent branch per request mispredicts occasionally.
-	b.Branch(chain, reqIdx%24 == 0)
+	op = isa.Op{Kind: isa.Branch, Src1: chain, Mispredict: reqIdx%24 == 0}
+	core.Feed(&op)
 }
 
 // warmupStream picks the warmup request stream for a plan.
@@ -301,15 +338,14 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 	// One builder and one querier arena serve every request: the core
 	// consumes each trace synchronously in Run, so the builder's storage
 	// is reusable immediately after (Reset keeps register numbering
-	// byte-identical to a fresh builder).
+	// byte-identical to a fresh builder). The probes' traces are
+	// collected first and fed after the request's filler, which streams
+	// into the core with registers numbered from the reset builder.
 	b := isa.NewBuilder()
 	q := baseline.NewQuerier()
 	pass := func(reqs []Request, count bool) error {
 		for i, req := range reqs {
 			b.Reset()
-			if mode != ROIOnly {
-				emitNonROI(b, plan, i, 0)
-			}
 			if mode != NonROIOnly {
 				for _, p := range req.Probes {
 					tr, want, err := plan.BaselineTrace(m, q, p)
@@ -324,6 +360,9 @@ func RunBaseline(bench Benchmark, mode Mode, opts ...RunOption) (Run, error) {
 					}
 					b.Append(tr)
 				}
+			}
+			if mode != ROIOnly {
+				feedNonROI(core, b, plan, i, 0)
 			}
 			core.Run(b.Ops())
 			if core.Err() != nil {
@@ -452,12 +491,14 @@ func RunQEIWithParams(bench Benchmark, params scheme.Params, mode Mode, opts ...
 					}
 				}
 			}
+			// The batch's ROI ops run first; each request's filler then
+			// streams in behind them, consuming its query's result.
+			core.Run(b.Ops())
 			if mode != ROIOnly {
 				for ri := start; ri < end; ri++ {
-					emitNonROI(b, plan, ri, resultReg[ri-start])
+					feedNonROI(core, b, plan, ri, resultReg[ri-start])
 				}
 			}
-			core.Run(b.Ops())
 			if core.Err() != nil {
 				return core.Err()
 			}
@@ -560,13 +601,17 @@ func RunQEINonBlocking(bench Benchmark, kind scheme.Kind, batch int, opts ...Run
 	var pending []expect
 
 	// One builder serves every batch (the core consumes each trace
-	// synchronously in Run).
+	// synchronously in Run). Each request's filler streams into the core
+	// after the QUERY_NB ops built so far; fed counts the builder's ops
+	// the core has already consumed.
 	b := isa.NewBuilder()
 	flushBatch := func(batchReqs []Request, firstIdx int, count bool) error {
 		b.Reset()
-		slot := 0
+		slot, fed := 0, 0
 		for ri, req := range batchReqs {
-			emitNonROI(b, plan, firstIdx+ri, 0)
+			core.Run(b.Ops()[fed:])
+			fed = b.Len()
+			feedNonROI(core, b, plan, firstIdx+ri, 0)
 			for _, p := range req.Probes {
 				resAddr := resultArea + mem.VAddr(slot*mem.LineSize)
 				b.QueryNB(isa.QueryDesc{
@@ -593,7 +638,7 @@ func RunQEINonBlocking(bench Benchmark, kind scheme.Kind, batch int, opts ...Run
 				b.Branch(r, pass == 1 && s+8 >= slot)
 			}
 		}
-		core.Run(b.Ops())
+		core.Run(b.Ops()[fed:])
 		return core.Err()
 	}
 
