@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"qei/internal/hwdesc"
 )
 
 // TestAsyncLifecycle walks the full Sec. IV-D story: issue, interrupt,
@@ -11,7 +13,7 @@ import (
 func TestAsyncLifecycle(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 32, 11)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestWaitUnknownHandle(t *testing.T) {
 func TestQueryAsyncQSTFull(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 32, 12)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestQueryAsyncQSTFull(t *testing.T) {
 func TestQueryBatch(t *testing.T) {
 	sys := NewSystem(CHATLB)
 	keys, vals := testKeys(200, 16, 13)
-	tb := sys.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 
 	// Batch twice the QST capacity so the window logic has to recycle
 	// entries.
@@ -148,7 +150,7 @@ func TestQueryBatch(t *testing.T) {
 func TestQueryBatchWindow(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 32, 14)
-	tb, err := sys.BuildSkipList(keys, vals)
+	tb, err := sys.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestQueryBatchWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys2 := NewSystem(CoreIntegrated)
-	tb2, err := sys2.BuildSkipList(keys, vals)
+	tb2, err := sys2.Build(KindSkipList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestNewSystemOptions(t *testing.T) {
 
 	traced := NewSystem(CoreIntegrated, WithQuerySpans())
 	keys, vals := testKeys(8, 16, 15)
-	tb := traced.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, traced, KindCuckoo, keys, vals)
 	if _, err := traced.Query(tb, keys[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestNewSystemOptions(t *testing.T) {
 	// same layout; the structures stay queryable either way.
 	for _, seed := range []int64{1, 42} {
 		s := NewSystem(CoreIntegrated, WithSeed(seed))
-		mt, err := s.BuildMutableSkipList(keys, vals)
+		mt, err := s.BuildMutable(KindSkipList, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +233,21 @@ func TestStructKindRoundTrip(t *testing.T) {
 	}
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(8, 16, 16)
-	tb := sys.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 	if tb.Kind != KindCuckoo || tb.Name() != "cuckoo" {
 		t.Fatalf("builder kind: %v (%s)", tb.Kind, tb.Name())
+	}
+}
+
+func TestSchemeRoundTrip(t *testing.T) {
+	for _, sch := range Schemes() {
+		name := hwdesc.SchemeName(sch.kind())
+		got, err := ParseScheme(name)
+		if err != nil || got != sch {
+			t.Fatalf("ParseScheme(%q) = %v, %v; want %v", name, got, err, sch)
+		}
+	}
+	if _, err := ParseScheme("gpu"); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("ParseScheme(gpu) = %v, want ErrBadConfig", err)
 	}
 }

@@ -42,6 +42,13 @@ QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short . ./internal/c
 # process (qeisim exits non-zero otherwise).
 go run ./cmd/qeisim -faults "7:flip=0.05,nocdelay=0.1,nocdrop=0.05,shootdown=0.1,spurious=0.05,evict=0.1"
 
+# Examples: each one verifies its answers against host-side reference
+# lookups and exits non-zero on a mismatch, so running them (not only
+# compiling them) keeps the documented API paths working.
+for ex in quickstart kvstore ips_scan nfv_router lpm_router; do
+	go run "./examples/$ex" >/dev/null
+done
+
 # Serve smoke: a small multi-tenant run through BOTH serving backends
 # must emit machine-readable per-tenant percentiles. Checks that the
 # JSON carries p99 fields and one report per backend.

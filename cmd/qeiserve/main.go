@@ -76,22 +76,6 @@ func fail(format string, v ...any) {
 	os.Exit(1)
 }
 
-func parseScheme(name string) (qei.Scheme, bool) {
-	switch name {
-	case "core":
-		return qei.CoreIntegrated, true
-	case "cha-tlb":
-		return qei.CHATLB, true
-	case "cha-notlb":
-		return qei.CHANoTLB, true
-	case "device-direct":
-		return qei.DeviceDirect, true
-	case "device-indirect":
-		return qei.DeviceIndirect, true
-	}
-	return 0, false
-}
-
 // output is the -json document: the shared stream description plus one
 // report per backend that served it.
 type output struct {
@@ -135,9 +119,9 @@ func main() {
 	jsonFlag := flag.Bool("json", false, "emit the per-tenant reports as machine-readable JSON")
 	flag.Parse()
 
-	scheme, ok := parseScheme(*schemeFlag)
-	if !ok {
-		fail("unknown scheme %q", *schemeFlag)
+	scheme, err := qei.ParseScheme(*schemeFlag)
+	if err != nil {
+		fail("%v", err)
 	}
 	kind, err := qei.ParseStructKind(*kindFlag)
 	if err != nil {

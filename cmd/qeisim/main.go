@@ -9,19 +9,12 @@
 //	       [-mode full|roi|nonroi] [-nb] [-scale small|full] [-warm] [-parallel N] \
 //	       [-machine preset|file.json] [-metrics] [-trace out.json]
 //	qeisim -faults "7:flip=0.05,spurious=0.1"
-//	qeisim -stream [-scheme core] [-machine preset|file.json]
 //
 // -faults skips the workload entirely and runs the fault-injection
 // chaos smoke: a replayable fault schedule driven through every
 // built-in structure kind via the public API, asserting that every
 // query resolves to a result, an architectural fault, or a software
 // fallback. It exits non-zero if any query fails to resolve.
-//
-// -stream runs the streaming epoch-consistency smoke instead: the
-// default mixed read-write stream against every mutable structure kind
-// on the selected scheme and machine, verified op-for-op against a host
-// model, with a replay proving determinism. It exits non-zero on any
-// mismatch, read-after-retire violation, or replay divergence.
 //
 // -scheme all runs the software baseline plus every integration scheme
 // and prints a side-by-side comparison, fanning the runs across
@@ -60,15 +53,10 @@ func main() {
 	traceFlag := flag.String("trace", "", "write the unified event trace to this file (Chrome trace-event JSON)")
 	machineFlag := flag.String("machine", "", "machine description: a preset name (default, core, cha-tlb, ...) or a JSON file; empty = the Tab. II default")
 	faultsFlag := flag.String("faults", "", "run the fault-injection chaos smoke with this seed:kind=rate,... spec and exit")
-	streamFlag := flag.Bool("stream", false, "run the streaming epoch-consistency smoke (honors -scheme and -machine) and exit")
 	flag.Parse()
 
 	if *faultsFlag != "" {
 		runFaultSmoke(*faultsFlag)
-		return
-	}
-	if *streamFlag {
-		runStreamSmoke(*schemeFlag, *machineFlag)
 		return
 	}
 
@@ -153,9 +141,9 @@ func main() {
 	case "software":
 		run, err = workload.RunBaseline(bench, mode, opts...)
 	default:
-		k, ok := parseKind(*schemeFlag)
-		if !ok {
-			fail("unknown scheme %q", *schemeFlag)
+		k, kerr := hwdesc.SchemeKind(*schemeFlag)
+		if kerr != nil {
+			fail("%v", kerr)
 		}
 		if *nbFlag {
 			run, err = workload.RunQEINonBlocking(bench, k, 32, opts...)
@@ -212,22 +200,6 @@ func main() {
 	}
 }
 
-func parseKind(name string) (scheme.Kind, bool) {
-	switch name {
-	case "core":
-		return scheme.CoreIntegrated, true
-	case "cha-tlb":
-		return scheme.CHATLB, true
-	case "cha-notlb":
-		return scheme.CHANoTLB, true
-	case "device-direct":
-		return scheme.DeviceDirect, true
-	case "device-indirect":
-		return scheme.DeviceIndirect, true
-	}
-	return 0, false
-}
-
 // runAllSchemes fans the software baseline and every integration scheme
 // across the worker pool and prints a side-by-side comparison; results
 // are collected in a fixed order, so the table is deterministic.
@@ -276,9 +248,9 @@ func runAllSchemes(bench workload.Benchmark, mode workload.Mode, nb bool, par in
 }
 
 func runMultiCore(bench workload.Benchmark, schemeName string, cores int) {
-	k, ok := parseKind(schemeName)
-	if !ok {
-		fail("multi-core mode needs an accelerator scheme, got %q", schemeName)
+	k, err := hwdesc.SchemeKind(schemeName)
+	if err != nil {
+		fail("multi-core mode needs an accelerator scheme: %v", err)
 	}
 	r, err := workload.RunMultiCore(bench, k, cores)
 	if err != nil {

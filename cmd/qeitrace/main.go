@@ -29,20 +29,9 @@ func main() {
 	spansFlag := flag.Bool("spans", false, "export only the legacy query-span view, not the unified timeline")
 	flag.Parse()
 
-	var sch qei.Scheme
-	switch *schemeFlag {
-	case "core":
-		sch = qei.CoreIntegrated
-	case "cha-tlb":
-		sch = qei.CHATLB
-	case "cha-notlb":
-		sch = qei.CHANoTLB
-	case "device-direct":
-		sch = qei.DeviceDirect
-	case "device-indirect":
-		sch = qei.DeviceIndirect
-	default:
-		fmt.Fprintf(os.Stderr, "qeitrace: unknown scheme %q\n", *schemeFlag)
+	sch, err := qei.ParseScheme(*schemeFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "qeitrace: %v\n", err)
 		os.Exit(2)
 	}
 

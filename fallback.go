@@ -79,7 +79,7 @@ func (s *System) QuerySoftware(t Table, key []byte) (Result, error) {
 		res = Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}
 		tr = sr.Trace
 	default:
-		return Result{}, fmt.Errorf("qei: %w: %s has no software walker", ErrUnknownKind, t.Name())
+		return Result{}, fmt.Errorf("%w: %s has no software walker", ErrUnknownKind, t.Name())
 	}
 
 	// Time the software path on a simulated core sharing the machine's

@@ -1,6 +1,8 @@
 package qei
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -25,10 +27,20 @@ func testKeys(n, keyLen int, seed int64) ([][]byte, []uint64) {
 	return keys, vals
 }
 
+// mustBuild is System.Build, failing the test on a build error.
+func mustBuild(tb testing.TB, sys *System, kind StructKind, keys [][]byte, vals []uint64) Table {
+	tb.Helper()
+	table, err := sys.Build(kind, keys, vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return table
+}
+
 func TestSystemQuickstartFlow(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(500, 16, 1)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	for i := 0; i < 100; i++ {
 		res, err := sys.Query(table, keys[i])
 		if err != nil {
@@ -62,11 +74,11 @@ func TestAllBuildersAndSchemes(t *testing.T) {
 			sys := NewSystem(sch)
 			tables := []Table{}
 			for _, build := range []func() (Table, error){
-				func() (Table, error) { return sys.BuildCuckoo(keys, vals) },
-				func() (Table, error) { return sys.BuildHashTable(keys, vals) },
-				func() (Table, error) { return sys.BuildSkipList(keys, vals) },
-				func() (Table, error) { return sys.BuildBST(keys, vals, 64) },
-				func() (Table, error) { return sys.BuildLinkedList(keys[:30], vals[:30]) },
+				func() (Table, error) { return sys.Build(KindCuckoo, keys, vals) },
+				func() (Table, error) { return sys.Build(KindHashTable, keys, vals) },
+				func() (Table, error) { return sys.Build(KindSkipList, keys, vals) },
+				func() (Table, error) { return sys.Build(KindBST, keys, vals, WithBSTPayload(64)) },
+				func() (Table, error) { return sys.Build(KindLinkedList, keys[:30], vals[:30]) },
 			} {
 				tb, err := build()
 				if err != nil {
@@ -95,7 +107,7 @@ func TestAllBuildersAndSchemes(t *testing.T) {
 
 func TestTrieScanAPI(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
-	tr, err := sys.BuildTrie([][]byte{[]byte("alpha"), []byte("beta")}, []uint64{10, 20})
+	tr, err := sys.Build(KindTrie, [][]byte{[]byte("alpha"), []byte("beta")}, []uint64{10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,35 +120,74 @@ func TestTrieScanAPI(t *testing.T) {
 	}
 	// Scan on a non-trie table must be rejected.
 	keys, vals := testKeys(10, 8, 3)
-	ht, _ := sys.BuildHashTable(keys, vals)
+	ht, _ := sys.Build(KindHashTable, keys, vals)
 	if _, err := sys.Scan(ht, []byte("x")); err == nil {
 		t.Fatal("Scan accepted a hash table")
 	}
 }
 
+// TestBuilderValidation pins the one input check in front of Build and
+// BuildMutable: every key set the Fig. 4 header cannot describe — its
+// key length is a 2-byte field of 1..65535 — is an error from both
+// constructors for every kind, never a panic or a truncated KeyLen.
 func TestBuilderValidation(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
-	if _, err := sys.BuildCuckoo(nil, nil); err == nil {
-		t.Fatal("empty key set accepted")
+	fill := func(n int, b byte) []byte { return bytes.Repeat([]byte{b}, n) }
+	bad := []struct {
+		name string
+		keys [][]byte
+		vals []uint64
+	}{
+		{"empty key set", nil, nil},
+		{"mismatched lengths", [][]byte{{1, 2}}, []uint64{1, 2}},
+		{"ragged keys", [][]byte{{1, 2}, {1, 2, 3}}, []uint64{1, 2}},
+		{"zero-length keys", [][]byte{{}, {}}, []uint64{11, 22}},
+		{"65536-byte keys", [][]byte{fill(65536, 1), fill(65536, 2)}, []uint64{11, 22}},
+		{"70000-byte keys", [][]byte{fill(70000, 1), fill(70000, 2)}, []uint64{11, 22}},
 	}
-	if _, err := sys.BuildCuckoo([][]byte{{1, 2}}, []uint64{1, 2}); err == nil {
-		t.Fatal("mismatched lengths accepted")
+	for _, c := range bad {
+		for _, kind := range []StructKind{KindLinkedList, KindHashTable, KindCuckoo, KindSkipList, KindBST, KindBTree} {
+			if tb, err := sys.Build(kind, c.keys, c.vals); err == nil {
+				t.Errorf("Build(%s) accepted %s: KeyLen %d", kind, c.name, tb.KeyLen)
+			}
+			if kind == KindHashTable {
+				continue
+			}
+			if tb, err := sys.BuildMutable(kind, c.keys, c.vals); err == nil {
+				t.Errorf("BuildMutable(%s) accepted %s: KeyLen %d", kind, c.name, tb.KeyLen)
+			}
+		}
 	}
-	if _, err := sys.BuildCuckoo([][]byte{{1, 2}, {1, 2, 3}}, []uint64{1, 2}); err == nil {
-		t.Fatal("ragged keys accepted")
+	neg := WithBSTPayload(-1)
+	if _, err := sys.Build(KindBST, [][]byte{{1}}, []uint64{1}, neg); err == nil {
+		t.Error("Build accepted a negative BST payload")
 	}
-	if _, err := sys.BuildTrie([][]byte{[]byte("x")}, []uint64{0}); err == nil {
+	if _, err := sys.BuildMutable(KindBST, [][]byte{{1}}, []uint64{1}, neg); err == nil {
+		t.Error("BuildMutable accepted a negative BST payload")
+	}
+
+	// The widest key the header can describe still builds and answers.
+	keys := [][]byte{fill(65535, 1), fill(65535, 2)}
+	tb := mustBuild(t, sys, KindCuckoo, keys, []uint64{11, 22})
+	if tb.KeyLen != 65535 {
+		t.Fatalf("KeyLen = %d, want 65535", tb.KeyLen)
+	}
+	if res, err := sys.Query(tb, keys[1]); err != nil || !res.Found || res.Value != 22 {
+		t.Fatalf("65535-byte key: %+v, %v; want value 22", res, err)
+	}
+
+	if _, err := sys.Build(KindTrie, [][]byte{[]byte("x")}, []uint64{0}); err == nil {
 		t.Fatal("zero trie value accepted")
 	}
-	if _, err := sys.BuildBST([][]byte{{1}}, []uint64{1}, -1); err == nil {
-		t.Fatal("negative payload accepted")
+	if _, err := sys.Build(KindCustom, [][]byte{{1}}, []uint64{1}); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("Build(KindCustom) = %v, want ErrUnknownKind", err)
 	}
 }
 
 func TestAsyncQueryFlow(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(100, 16, 4)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	handles := make([]AsyncHandle, 10)
 	for i := range handles {
 		h, err := sys.QueryAsync(table, keys[i])
@@ -160,7 +211,7 @@ func TestQueryLatencyOrderingAcrossSchemes(t *testing.T) {
 	keys, vals := testKeys(300, 32, 5)
 	latency := func(s Scheme) uint64 {
 		sys := NewSystem(s)
-		tb, err := sys.BuildSkipList(keys, vals)
+		tb, err := sys.Build(KindSkipList, keys, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +289,7 @@ func TestFig11SmallScale(t *testing.T) {
 func TestPublicTracing(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(64, 16, 70)
-	tb := sys.MustBuildCuckoo(keys, vals)
+	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
 	sys.EnableTracing()
 	for i := 0; i < 12; i++ {
 		if _, err := sys.Query(tb, keys[i]); err != nil {

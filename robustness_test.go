@@ -67,10 +67,10 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 	keys, vals := testKeys(48, 16, 31)
 	absent, _ := testKeys(8, 16, 32)
 	build := []func() (Table, error){
-		func() (Table, error) { return sys.BuildLinkedList(keys, vals) },
-		func() (Table, error) { return sys.BuildCuckoo(keys, vals) },
-		func() (Table, error) { return sys.BuildSkipList(keys, vals) },
-		func() (Table, error) { return sys.BuildBST(keys, vals, 0) },
+		func() (Table, error) { return sys.Build(KindLinkedList, keys, vals) },
+		func() (Table, error) { return sys.Build(KindCuckoo, keys, vals) },
+		func() (Table, error) { return sys.Build(KindSkipList, keys, vals) },
+		func() (Table, error) { return sys.Build(KindBST, keys, vals) },
 	}
 
 	var out chaosOutcome
@@ -103,7 +103,7 @@ func chaosRun(t *testing.T, spec string) (chaosOutcome, string) {
 
 	// Fifth kind: the Aho-Corasick trie, driven through Scan.
 	kws := [][]byte{[]byte("fault"), []byte("inject"), []byte("chaos"), []byte("soak")}
-	trie, err := sys.BuildTrie(kws, []uint64{1, 2, 3, 4})
+	trie, err := sys.Build(KindTrie, kws, []uint64{1, 2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestFallbackPolicy(t *testing.T) {
 		WithFaultInjection(MustParseFaultSpec("3:spurious=1")),
 		WithFallback(FallbackPolicy{AfterFaults: 1}))
 	keys, vals := testKeys(32, 16, 41)
-	table := sys.MustBuildCuckoo(keys, vals)
+	table := mustBuild(t, sys, KindCuckoo, keys, vals)
 	for i, k := range keys {
 		res, err := sys.Query(table, k)
 		if err != nil {
@@ -210,7 +210,7 @@ func TestFallbackPolicy(t *testing.T) {
 func TestPublicWatchdogTimeout(t *testing.T) {
 	sys := NewSystem(CoreIntegrated, WithQueryCycleBudget(3000))
 	keys, vals := testKeys(400, 16, 51)
-	table, err := sys.BuildLinkedList(keys, vals)
+	table, err := sys.Build(KindLinkedList, keys, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

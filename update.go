@@ -24,18 +24,18 @@ import (
 // read-intensive usage model assumes — and the read-after-retire
 // watcher (epoch/read_after_retire) proves the protocol holds.
 //
-// Handles returned by the Build functions are immutable descriptors; to
-// mutate a structure, create it with the Mutable variants below, which
-// return a handle carrying the mutation state.
+// Tables returned by Build are immutable descriptors; to mutate a
+// structure, create it with BuildMutable, which returns a handle
+// carrying the mutation state.
 
 // defaultMaxLoad is the cuckoo load-factor ceiling that triggers an
 // online rehash before the kick loop starts thrashing (DPDK resizes in
 // the same regime). SetMaxLoadFactor overrides it per table.
 const defaultMaxLoad = 0.85
 
-// mutableBTreeFanout is deliberately smaller than BuildBTree's read-only
-// fanout of 16 so streaming workloads exercise node splits and merges at
-// experiment scale rather than only at millions of keys.
+// mutableBTreeFanout is deliberately smaller than Build's read-only B+
+// tree fanout of 16 so streaming workloads exercise node splits and
+// merges at experiment scale rather than only at millions of keys.
 const mutableBTreeFanout = 8
 
 // MutStats counts a mutable table's software-routine activity. The
@@ -71,104 +71,50 @@ type MutableTable struct {
 	stats   MutStats
 }
 
-// BuildMutableCuckoo is BuildCuckoo returning an updatable handle.
-func (s *System) BuildMutableCuckoo(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
+// BuildMutable builds an updatable table of the given kind. It lays out
+// the structure Build would, with room to grow: a cuckoo table gets one
+// bucket per key instead of one per two, and a B+ tree uses the smaller
+// mutableBTreeFanout so update streams exercise splits and merges. It
+// takes the same keys and options as Build (WithBSTPayload for
+// KindBST). Kinds without software mutators (hash-table chains, tries)
+// return ErrUnsupportedOp.
+func (s *System) BuildMutable(kind StructKind, keys [][]byte, values []uint64, opts ...BuildOption) (*MutableTable, error) {
+	switch kind {
+	case KindCuckoo, KindSkipList, KindBST, KindLinkedList, KindBTree:
+	case KindHashTable, KindTrie:
+		return nil, fmt.Errorf("%w: no mutable builder for %s", ErrUnsupportedOp, kind)
+	default:
+		return nil, fmt.Errorf("%w: %s", ErrUnknownKind, kind)
+	}
+	cfg, err := validateKV(kind, keys, values, opts)
+	if err != nil {
 		return nil, err
 	}
 	s.ensureGC()
-	c := dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
-	return &MutableTable{
-		Table:   Table{header: c.HeaderAddr, Kind: KindCuckoo, KeyLen: int(c.KeyLen)},
-		sys:     s,
-		ck:      c,
-		maxLoad: defaultMaxLoad,
-	}, nil
-}
-
-// BuildMutableSkipList is BuildSkipList returning an updatable handle.
-func (s *System) BuildMutableSkipList(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	s.ensureGC()
-	sl := dstruct.BuildSkipList(s.m.AS, 7, keys, values)
-	return &MutableTable{
-		Table: Table{header: sl.HeaderAddr, Kind: KindSkipList, KeyLen: int(sl.KeyLen)},
-		sys:   s,
-		sl:    sl,
-		rng:   rand.New(rand.NewSource(s.seed)),
-	}, nil
-}
-
-// BuildMutableBST is BuildBST returning an updatable handle.
-func (s *System) BuildMutableBST(keys [][]byte, values []uint64, payload int) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	if payload < 0 {
-		return nil, fmt.Errorf("qei: negative payload %d", payload)
-	}
-	s.ensureGC()
-	b := dstruct.BuildBST(s.m.AS, 7, payload, keys, values)
-	return &MutableTable{
-		Table: Table{header: b.HeaderAddr, Kind: KindBST, KeyLen: int(b.KeyLen)},
-		sys:   s,
-		bs:    b,
-	}, nil
-}
-
-// BuildMutableLinkedList is BuildLinkedList returning an updatable handle.
-func (s *System) BuildMutableLinkedList(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	s.ensureGC()
-	l := dstruct.BuildLinkedList(s.m.AS, keys, values)
-	return &MutableTable{
-		Table: Table{header: l.HeaderAddr, Kind: KindLinkedList, KeyLen: int(l.KeyLen)},
-		sys:   s,
-		ll:    l,
-	}, nil
-}
-
-// BuildMutableBTree is BuildBTree returning an updatable handle. The
-// tree uses a smaller fanout than the read-only bulk loader so update
-// streams exercise splits and merges.
-func (s *System) BuildMutableBTree(keys [][]byte, values []uint64) (*MutableTable, error) {
-	if err := validateKV(keys, values); err != nil {
-		return nil, err
-	}
-	s.ensureGC()
-	b := dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
-	return &MutableTable{
-		Table: Table{header: b.HeaderAddr, Kind: KindBTree, KeyLen: int(b.KeyLen)},
-		sys:   s,
-		bt:    b,
-	}, nil
-}
-
-// BuildMutable builds an updatable table of the given kind — the
-// generic entry point the stream engine uses. Kinds without software
-// mutators (hash table chains, tries) return ErrUnsupportedOp; BSTs get
-// payload 0 (use BuildMutableBST directly for object-tree payloads).
-func (s *System) BuildMutable(kind StructKind, keys [][]byte, values []uint64) (*MutableTable, error) {
+	t := &MutableTable{sys: s}
+	var header mem.VAddr
+	var keyLen uint16
 	switch kind {
 	case KindCuckoo:
-		return s.BuildMutableCuckoo(keys, values)
+		t.ck = dstruct.BuildCuckoo(s.m.AS, uint64(len(keys)), 8, 0x9E37, keys, values)
+		t.maxLoad = defaultMaxLoad
+		header, keyLen = t.ck.HeaderAddr, t.ck.KeyLen
 	case KindSkipList:
-		return s.BuildMutableSkipList(keys, values)
+		t.sl = dstruct.BuildSkipList(s.m.AS, 7, keys, values)
+		t.rng = rand.New(rand.NewSource(s.seed))
+		header, keyLen = t.sl.HeaderAddr, t.sl.KeyLen
 	case KindBST:
-		return s.BuildMutableBST(keys, values, 0)
+		t.bs = dstruct.BuildBST(s.m.AS, 7, cfg.payload, keys, values)
+		header, keyLen = t.bs.HeaderAddr, t.bs.KeyLen
 	case KindLinkedList:
-		return s.BuildMutableLinkedList(keys, values)
+		t.ll = dstruct.BuildLinkedList(s.m.AS, keys, values)
+		header, keyLen = t.ll.HeaderAddr, t.ll.KeyLen
 	case KindBTree:
-		return s.BuildMutableBTree(keys, values)
-	case KindHashTable, KindTrie:
-		return nil, fmt.Errorf("qei: %w: no mutable builder for %s", ErrUnsupportedOp, kind)
-	default:
-		return nil, fmt.Errorf("qei: %w: %d", ErrUnknownKind, int(kind))
+		t.bt = dstruct.BuildBTree(s.m.AS, mutableBTreeFanout, keys, values)
+		header, keyLen = t.bt.HeaderAddr, t.bt.KeyLen
 	}
+	t.Table = Table{header: header, Kind: kind, KeyLen: int(keyLen)}
+	return t, nil
 }
 
 // SetMaxLoadFactor overrides the cuckoo load-factor ceiling that
@@ -224,7 +170,7 @@ func (t *MutableTable) Insert(key []byte, value uint64) error {
 	case t.ll != nil:
 		err = t.ll.InsertFront(as, gc, key, value)
 	default:
-		return fmt.Errorf("qei: %w: Insert on %s", ErrUnsupportedOp, t.Kind)
+		return fmt.Errorf("%w: Insert on %s", ErrUnsupportedOp, t.Kind)
 	}
 	if err != nil {
 		return err
@@ -325,7 +271,7 @@ func (t *MutableTable) Delete(key []byte) (bool, error) {
 			t.retire(e)
 		}
 	default:
-		return false, fmt.Errorf("qei: %w: Delete on %s", ErrUnsupportedOp, t.Kind)
+		return false, fmt.Errorf("%w: Delete on %s", ErrUnsupportedOp, t.Kind)
 	}
 	if err != nil {
 		return ok, err
