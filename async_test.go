@@ -37,11 +37,11 @@ func TestAsyncLifecycle(t *testing.T) {
 	if !sys.Aborted(h) {
 		t.Fatal("query not aborted by interrupt")
 	}
-	if _, err := sys.Wait(h); !errors.Is(err, ErrAborted) {
-		t.Fatalf("Wait on aborted query: err = %v, want ErrAborted", err)
+	if _, err := sys.Wait(h); !errors.Is(err, ErrAborted) || strings.Count(err.Error(), "qei:") != 1 {
+		t.Fatalf("Wait on aborted query: err = %v, want ErrAborted with one qei: prefix", err)
 	}
-	if _, err := sys.Poll(h); !errors.Is(err, ErrAborted) {
-		t.Fatalf("Poll on aborted query: err = %v, want ErrAborted", err)
+	if _, err := sys.Poll(h); !errors.Is(err, ErrAborted) || strings.Count(err.Error(), "qei:") != 1 {
+		t.Fatalf("Poll on aborted query: err = %v, want ErrAborted with one qei: prefix", err)
 	}
 
 	// Software reissues; the retry completes and verifies.

@@ -215,7 +215,7 @@ func (s *System) queryBatchLevelWise(t Table, keys [][]byte) ([]Result, error) {
 	for _, i := range deferred {
 		r, err := s.QueryAt(t, uint64(descs[i].KeyAddr), len(keys[i]))
 		if err != nil {
-			return nil, fmt.Errorf("qei: batch query %d: %w", i, err)
+			return nil, fmt.Errorf("%w: batch key %d", err, i)
 		}
 		results[i] = r
 	}
@@ -247,7 +247,7 @@ func (s *System) queryBatchWindowed(t Table, keys [][]byte, cfg batchConfig) ([]
 		queue = queue[1:]
 		r, err := s.Wait(q.h)
 		if err != nil {
-			return fmt.Errorf("qei: batch query %d: %w", q.idx, err)
+			return fmt.Errorf("%w: batch key %d", err, q.idx)
 		}
 		results[q.idx] = r
 		return nil
@@ -277,12 +277,12 @@ func (s *System) queryBatchWindowed(t Table, keys [][]byte, cfg batchConfig) ([]
 				// its context. The wrapped chain keeps the documented
 				// errors.Is(err, ErrQSTFull) contract (pinned by
 				// TestQueryBatchForeignStall).
-				return nil, fmt.Errorf("qei: batch query %d: QST held by foreign entries that never complete: %w", i, err)
+				return nil, fmt.Errorf("%w: batch key %d: QST held by foreign entries that never complete", err, i)
 			}
 			h, err = s.QueryAsync(t, k)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("qei: batch query %d: %w", i, err)
+			return nil, fmt.Errorf("%w: batch key %d", err, i)
 		}
 		queue = append(queue, inflight{idx: i, h: h})
 	}

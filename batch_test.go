@@ -8,6 +8,7 @@ package qei
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	iqei "qei/internal/qei"
@@ -234,6 +235,9 @@ func TestQueryBatchForeignStall(t *testing.T) {
 	}
 	if !errors.Is(err, ErrQSTFull) {
 		t.Fatalf("foreign-stall error does not satisfy errors.Is(err, ErrQSTFull): %v", err)
+	}
+	if n := strings.Count(err.Error(), "qei:"); n != 1 {
+		t.Fatalf("foreign-stall error %q repeats the qei: prefix", err)
 	}
 }
 

@@ -63,36 +63,44 @@ for needle in '"p99"' '"backend": "qei"' '"backend": "baseline"' '"slo_violation
 	esac
 done
 
-# Stream smoke: a short mixed read-write stream through the epoch-
-# consistent mutation engine must retire every op with zero model
-# mismatches and zero read-after-retire violations (qeiserve exits
-# non-zero otherwise), report non-zero stream/ counters, and replay its
-# recorded trace byte-identically.
+# Stream smoke: a short one-tenant read-write stream that grows its
+# B+ tree, with lookups in flight across the mutations, must report
+# non-zero write and hit counters, and replay its recorded trace byte-
+# identically. qeiserve exits non-zero on any answer that disagrees with
+# the host model (this run is fault-free) or any read-after-retire
+# violation. "writes" is an omitempty field, so its presence means >= 1.
 stream_trace=$(mktemp)
-stream_out=$(go run ./cmd/qeiserve -stream -kind btree -writes 0.3 -requests 200 -keys 64 -record "$stream_trace")
-for counter in stream/ops_total stream/puts stream/dels stream/hits; do
-	case "$stream_out" in
-	*"$counter 0"*)
-		echo "stream-smoke: $counter is zero" >&2
-		rm -f "$stream_trace"
-		exit 1
-		;;
-	*"$counter "*) ;;
-	*)
-		echo "stream-smoke: missing $counter in qeiserve -stream output" >&2
-		rm -f "$stream_trace"
-		exit 1
-		;;
-	esac
-done
-stream_replay=$(go run ./cmd/qeiserve -stream -kind btree -replay "$stream_trace")
+stream_flags="-tenants 1 -writes 0.3 -grow -kind btree -requests 200 -keys 64 -json"
+stream_out=$(go run ./cmd/qeiserve $stream_flags -record "$stream_trace")
+stream_replay=$(go run ./cmd/qeiserve $stream_flags -replay "$stream_trace")
 rm -f "$stream_trace"
-live_digest=$(echo "$stream_out" | grep '^digest')
-replay_digest=$(echo "$stream_replay" | grep '^digest')
-if [ -z "$live_digest" ] || [ "$live_digest" != "$replay_digest" ]; then
-	echo "stream-smoke: trace replay diverged ($live_digest vs $replay_digest)" >&2
+case "$stream_out" in
+*'"writes": '*) ;;
+*)
+	echo "stream-smoke: no writes in qeiserve -json output" >&2
+	exit 1
+	;;
+esac
+case "$stream_out" in
+*'"found": 0,'*)
+	echo "stream-smoke: no lookup hit its key" >&2
+	exit 1
+	;;
+*'"found": '*) ;;
+*)
+	echo "stream-smoke: missing found counter in qeiserve -json output" >&2
+	exit 1
+	;;
+esac
+if [ "$stream_out" != "$stream_replay" ]; then
+	echo "stream-smoke: trace replay diverged from live run" >&2
 	exit 1
 fi
+
+# Fuzz: a bounded run of the JSONL trace reader's fuzz target (no
+# panic, accepted traces round-trip); the committed corpus under
+# internal/serve/testdata/fuzz also runs in the ordinary test stage.
+go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime 10s ./internal/serve
 
 # Resilience smoke: a chaos schedule plus a tight SLO through the
 # resilient serving path must complete (exit 0 — qeiserve fails on any

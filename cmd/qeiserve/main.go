@@ -9,13 +9,11 @@
 //	qeiserve [-backend qei|baseline|both] [-tenants N] [-requests N]
 //	         [-keys N] [-keylen N] [-kind cuckoo|bst|...] [-zipf S]
 //	         [-keyzipf S] [-gap CYCLES] [-slo CYCLES] [-slots N]
-//	         [-writes F] [-delfrac F] [-writecost CYCLES]
+//	         [-writes F] [-delfrac F] [-grow] [-writecost CYCLES]
 //	         [-faults SPEC] [-resilient] [-deadline CYCLES] [-retries N]
 //	         [-budget CYCLES] [-timeline FILE] [-batchmode [-batchadmit N]]
 //	         [-seed N] [-scheme core|cha-tlb|...] [-machine preset|file.json]
 //	         [-genparallel N] [-record FILE | -replay FILE] [-json]
-//	qeiserve -stream [-kind btree] [-writes 0.3] [-requests N] [-keys N]
-//	         [-record FILE | -replay FILE] [...]
 //
 // -record writes the generated stream as a JSONL trace before serving
 // it; -replay serves a previously recorded trace instead of generating
@@ -30,7 +28,16 @@
 // mutations (of which -delfrac are deletes, the rest upserts): tenant
 // tables build updatable, mutations apply between in-flight accelerated
 // lookups under epoch-based reclamation, and per-tenant write latency is
-// reported alongside the read percentiles.
+// reported alongside the read percentiles. -grow makes half of the
+// upserts insert fresh keys, so the tables grow (splits, rehashes), and
+// a quarter of the lookups probe those keys.
+//
+// Every run checks each answer against a per-tenant host model: a
+// lookup must return what the model held when the lookup went to the
+// backend, a delete must report what the model held. Disagreements are
+// reported as "mismatches" (JSON) and on the "verify ..." text line.
+// A run without -faults exits non-zero on any mismatch, and every run
+// exits non-zero on a read-after-retire epoch violation.
 //
 // -faults arms the replayable chaos schedule ("seed:kind=rate,...", the
 // qeisim format) on the serving machine; -budget adds the per-query
@@ -52,13 +59,8 @@
 // counter line (flush counts plus the engine's amortization counters)
 // follows each text report.
 //
-// -stream switches to the single-table streaming consistency harness
-// (internal/stream): one mutable structure under a seeded mixed
-// read-write stream with a window of accelerated lookups held in flight
-// across mutations, verified op-for-op against a host model. -record /
-// -replay use the stream trace format; replays are byte-identical,
-// digest included. The run fails (exit 1) on any model mismatch or
-// read-after-retire violation.
+// The streaming consistency check of one mutable table is a one-tenant
+// run: -tenants 1 -writes 0.3 -grow -kind btree.
 package main
 
 import (
@@ -97,9 +99,10 @@ func main() {
 	keyZipfFlag := flag.Float64("keyzipf", def.KeySkew, "Zipf skew of per-tenant key popularity")
 	gapFlag := flag.Uint64("gap", def.MeanGap, "mean inter-arrival gap in cycles (open loop)")
 	sloFlag := flag.Uint64("slo", def.SLO, "per-request latency SLO in cycles; 0 disables")
-	slotsFlag := flag.Int("slots", 0, "in-flight QST slots per tenant; 0 = capacity/tenants (stream mode: lookup window, 0 = 8)")
+	slotsFlag := flag.Int("slots", 0, "in-flight QST slots per tenant; 0 = capacity/tenants")
 	writesFlag := flag.Float64("writes", 0, "fraction of requests that are software mutations (0 = read-only)")
 	delFracFlag := flag.Float64("delfrac", 0.4, "fraction of mutations that are deletes (rest are upserts)")
+	growFlag := flag.Bool("grow", false, "half of the upserts insert fresh keys, growing each tenant's table")
 	writeCostFlag := flag.Uint64("writecost", 0, "simulated cycles charged per mutation; 0 = default")
 	faultsFlag := flag.String("faults", "", `chaos schedule "seed:kind=rate,..." injected on the serving machine; empty = clean`)
 	resilientFlag := flag.Bool("resilient", false, "enable deadlines/shedding, retry, software failover, and the circuit breaker")
@@ -109,7 +112,6 @@ func main() {
 	timelineFlag := flag.String("timeline", "", "write the unified Chrome trace-event timeline to this file")
 	batchModeFlag := flag.Bool("batchmode", false, "batched admission: buffer lookups per tenant and flush them through the level-wise batch engine (qei backend only)")
 	batchAdmitFlag := flag.Int("batchadmit", 16, "lookups buffered per tenant before a batch flush (with -batchmode)")
-	streamFlag := flag.Bool("stream", false, "run the streaming consistency harness instead of the serving frontend")
 	seedFlag := flag.Int64("seed", def.Seed, "stream and machine seed")
 	schemeFlag := flag.String("scheme", "core", "integration scheme: core, cha-tlb, cha-notlb, device-direct, device-indirect")
 	machineFlag := flag.String("machine", "", "machine description: a preset name (default, core, cha-tlb, ...) or a JSON file; empty = the Tab. II default")
@@ -140,6 +142,7 @@ func main() {
 		Seed:           *seedFlag,
 		WriteFraction:  *writesFlag,
 		DeleteFraction: *delFracFlag,
+		Grow:           *growFlag,
 		WriteCost:      *writeCostFlag,
 		SLO:            *sloFlag,
 		SlotsPerTenant: *slotsFlag,
@@ -175,11 +178,6 @@ func main() {
 			fail("-batchadmit must be >= 2, got %d", *batchAdmitFlag)
 		}
 		cfg.BatchAdmit = *batchAdmitFlag
-	}
-
-	if *streamFlag {
-		runStreamMode(cfg, *recordFlag, *replayFlag, *jsonFlag)
-		return
 	}
 
 	var backends []string
@@ -245,10 +243,20 @@ func main() {
 	}
 
 	// Read-after-retire is a consistency-contract breach, never "degraded
-	// but correct" — the run fails loudly whatever the output mode.
-	var violations uint64
-	for _, rep := range out.Reports {
-		violations += rep.EpochViolations
+	// but correct", and so is a wrong answer on a fault-free machine:
+	// the run fails loudly whatever the output mode.
+	check := func() {
+		var violations, mismatches uint64
+		for _, rep := range out.Reports {
+			violations += rep.EpochViolations
+			mismatches += rep.Total.Mismatches
+		}
+		if violations > 0 {
+			fail("%d read-after-retire epoch violations", violations)
+		}
+		if mismatches > 0 && cfg.Faults == nil {
+			fail("%d answers disagree with the host model on a fault-free run", mismatches)
+		}
 	}
 
 	if *jsonFlag {
@@ -257,9 +265,7 @@ func main() {
 		if err := enc.Encode(out); err != nil {
 			fail("%v", err)
 		}
-		if violations > 0 {
-			fail("%d read-after-retire epoch violations", violations)
-		}
+		check()
 		return
 	}
 	for _, rep := range out.Reports {
@@ -304,9 +310,9 @@ func main() {
 				rep.Total.Shed, rep.Total.Retries, rep.Total.FailedOver,
 				trips, state, rep.FaultsInjected, rep.EpochViolations)
 		}
+		fmt.Printf("verify found %d writes %d mismatches %d epoch_violations %d\n",
+			rep.Total.Found, rep.Total.Writes, rep.Total.Mismatches, rep.EpochViolations)
 		fmt.Println()
 	}
-	if violations > 0 {
-		fail("%d read-after-retire epoch violations", violations)
-	}
+	check()
 }

@@ -77,6 +77,10 @@ func (s *System) QuerySoftware(t Table, key []byte) (Result, error) {
 			return Result{}, err
 		}
 		res = Result{Found: len(sr.Matches) > 0, Matches: sr.Matches}
+		if res.Found {
+			// The accelerator's scan firmware reports the last match.
+			res.Value = sr.Matches[len(sr.Matches)-1]
+		}
 		tr = sr.Trace
 	default:
 		return Result{}, fmt.Errorf("%w: %s has no software walker", ErrUnknownKind, t.Name())

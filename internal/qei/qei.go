@@ -1076,7 +1076,7 @@ func (a *Accelerator) Flush(at uint64) uint64 {
 			pending++
 			r := a.results[tag]
 			r.Aborted = true
-			r.Fault = fmt.Errorf("qei: query %d: %w", tag, ErrAborted)
+			r.Fault = fmt.Errorf("%w: tag %d", ErrAborted, tag)
 			a.results[tag] = r
 			a.stats.AbortedNB++
 			// Abort code at the result address so polling software can

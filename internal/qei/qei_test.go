@@ -1,7 +1,9 @@
 package qei
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"qei/internal/cfa"
@@ -278,6 +280,9 @@ func TestFlushAbortsInFlightNB(t *testing.T) {
 	r, _ := a.Result(3)
 	if !r.Aborted {
 		t.Fatal("in-flight NB query not aborted")
+	}
+	if !errors.Is(r.Fault, ErrAborted) || strings.Count(r.Fault.Error(), "qei:") != 1 {
+		t.Fatalf("abort fault %q: want ErrAborted with one qei: prefix", r.Fault)
 	}
 	code, _ := m.AS.ReadU64(resAddr)
 	if code != 0xAB {

@@ -546,8 +546,37 @@ func TestTraceRoundTripWithOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bytes.Contains(buf.Bytes(), []byte(`"op"`)) ||
-		bytes.Contains(buf.Bytes(), []byte("write_fraction")) {
+		bytes.Contains(buf.Bytes(), []byte("write_fraction")) ||
+		bytes.Contains(buf.Bytes(), []byte("grow")) {
 		t.Fatal("read-only trace mentions write fields")
+	}
+}
+
+// A growing-key-set stream (fresh keys inserted by writes) must survive
+// the JSONL codec: the Grow header and every fresh key come back intact.
+func TestTraceRoundTripGrow(t *testing.T) {
+	cfg := testGenRW()
+	cfg.Grow = true
+	reqs, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, cfg, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("grow")) {
+		t.Fatal("growing trace header omits grow")
+	}
+	gotCfg, gotReqs, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotCfg != cfg {
+		t.Fatalf("config round-trip: got %+v want %+v", gotCfg, cfg)
+	}
+	if !reflect.DeepEqual(gotReqs, reqs) {
+		t.Fatal("growing-stream trace round-trip differs")
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -96,6 +97,11 @@ type TenantStats struct {
 	Shed       uint64 `json:"shed,omitempty"`
 	Retries    uint64 `json:"retries,omitempty"`
 	FailedOver uint64 `json:"failed_over,omitempty"`
+	// Mismatches counts answers that disagreed with the host model: a
+	// lookup whose result differs from the model's answer when it went
+	// to a backend, or a delete whose reported presence differs from
+	// the model's. Faulted and shed lookups are not checked.
+	Mismatches uint64 `json:"mismatches,omitempty"`
 }
 
 // Report is the outcome of one serving run: per-tenant percentile rows,
@@ -159,6 +165,15 @@ type tenantAcct struct {
 	shed       uint64
 	retries    uint64
 	failedOver uint64
+	mismatches uint64
+}
+
+// expect is a lookup's answer in the host model at the moment it went
+// to a backend: the query's snapshot-at-admission semantics, so writes
+// applied while it is in flight do not change what it must return.
+type expect struct {
+	found bool
+	value uint64
 }
 
 // pendingGet is one lookup buffered for batched admission.
@@ -176,6 +191,7 @@ type inflight struct {
 	key     []byte
 	attempt int // primary issues so far, beyond the first
 	h       Handle
+	exp     expect
 }
 
 // server is the in-flight state of one serving run: the backend, the
@@ -190,6 +206,9 @@ type server struct {
 	brk *Breaker
 
 	tables []Table
+	// model is each tenant's host-side copy of its table, kept in step
+	// with every write; results are checked against it.
+	model  []map[string]uint64
 	adm    *Admission
 	acct   []tenantAcct
 	total  LatencyHist
@@ -248,8 +267,10 @@ func newServer(b Backend, cfg Config, reqs []Request) (*server, error) {
 		}
 	}
 	tables := make([]Table, tenants)
+	model := make([]map[string]uint64, tenants)
 	for t := range tables {
 		keys, values := TenantKeys(cfg.Gen, t)
+		model[t] = newModel(keys, values)
 		var tbl Table
 		var err error
 		if mut != nil {
@@ -273,6 +294,7 @@ func newServer(b Backend, cfg Config, reqs []Request) (*server, error) {
 		cfg:    cfg,
 		res:    cfg.Resilience,
 		tables: tables,
+		model:  model,
 		adm:    NewAdmission(tenants, slots),
 		acct:   make([]tenantAcct, tenants),
 		rep:    &Report{},
@@ -294,6 +316,25 @@ func newServer(b Backend, cfg Config, reqs []Request) (*server, error) {
 	}
 	s.registerMetrics(cfg.Metrics)
 	return s, nil
+}
+
+// newModel seeds a tenant's host model with its table contents. The
+// keys are copied into one shared string, so seeding allocates once
+// rather than once per key.
+func newModel(keys [][]byte, values []uint64) map[string]uint64 {
+	all := string(bytes.Join(keys, nil))
+	m := make(map[string]uint64, len(keys))
+	for i, k := range keys {
+		m[all[:len(k)]] = values[i]
+		all = all[len(k):]
+	}
+	return m
+}
+
+// answer is the tenant's host-model answer for key right now.
+func (s *server) answer(tenant int, key []byte) expect {
+	v, ok := s.model[tenant][string(key)]
+	return expect{found: ok, value: v}
 }
 
 func (s *server) run(reqs []Request) (*Report, error) {
@@ -411,7 +452,8 @@ func (s *server) serve(req *Request) error {
 	if err != nil {
 		return fmt.Errorf("serve: request %d issue: %w", req.Seq, err)
 	}
-	s.queue = append(s.queue, inflight{tenant: req.Tenant, seq: req.Seq, at: req.At, key: req.Key, h: h})
+	s.queue = append(s.queue, inflight{tenant: req.Tenant, seq: req.Seq, at: req.At, key: req.Key, h: h,
+		exp: s.answer(req.Tenant, req.Key)})
 	return nil
 }
 
@@ -442,12 +484,14 @@ func (s *server) flushBatch(tenant int) error {
 	s.cfg.Trace.Span("serve", fmt.Sprintf("batch_flush/%d", len(pend)), start, s.b.Now(), trace.PidServe, tenant, nil)
 	s.batches++
 	s.batchedReads += uint64(len(pend))
+	// The batch ran synchronously, so the model still holds the answers
+	// it had when the batch went to the backend.
 	for i := range pend {
 		res := rs[i]
 		if res.Done == 0 {
 			res.Done = s.b.Now()
 		}
-		s.retire(tenant, pend[i].seq, pend[i].at, res)
+		s.retire(tenant, pend[i].seq, pend[i].at, res, s.answer(tenant, pend[i].key))
 	}
 	return nil
 }
@@ -461,17 +505,24 @@ func (s *server) flushBatch(tenant int) error {
 // but correct".
 func (s *server) serveWrite(req *Request) error {
 	var res Result
+	a := &s.acct[req.Tenant]
+	model := s.model[req.Tenant]
 	switch req.Op {
 	case OpPut:
 		if err := s.mut.Insert(s.tables[req.Tenant], req.Key, req.Value); err != nil {
 			return fmt.Errorf("serve: request %d put: %w", req.Seq, err)
 		}
+		model[string(req.Key)] = req.Value
 		res = Result{Found: true, Value: req.Value}
 	case OpDel:
 		ok, err := s.mut.Delete(s.tables[req.Tenant], req.Key)
 		if err != nil {
 			return fmt.Errorf("serve: request %d del: %w", req.Seq, err)
 		}
+		if _, had := model[string(req.Key)]; ok != had {
+			a.mismatches++
+		}
+		delete(model, string(req.Key))
 		res = Result{Found: ok}
 	default:
 		return fmt.Errorf("serve: request %d has unknown op %q", req.Seq, req.Op)
@@ -482,7 +533,6 @@ func (s *server) serveWrite(req *Request) error {
 	if res.Done > req.At {
 		lat = res.Done - req.At
 	}
-	a := &s.acct[req.Tenant]
 	a.writes++
 	a.whist.Observe(lat)
 	s.wtotal.Observe(lat)
@@ -543,7 +593,7 @@ func (s *server) finish(q inflight, res Result) error {
 	s.recordPrimary(res.Err == nil)
 	if res.Err == nil || s.res == nil {
 		s.adm.Release(q.tenant)
-		s.retire(q.tenant, q.seq, q.at, res)
+		s.retire(q.tenant, q.seq, q.at, res, q.exp)
 		return nil
 	}
 	if s.pastDeadline(q.at) {
@@ -559,7 +609,8 @@ func (s *server) finish(q inflight, res Result) error {
 		h, err := s.b.QueryAsync(s.tables[q.tenant], q.key)
 		if err == nil {
 			s.acct[q.tenant].retries++
-			s.queue = append(s.queue, inflight{tenant: q.tenant, seq: q.seq, at: q.at, key: q.key, attempt: q.attempt + 1, h: h})
+			s.queue = append(s.queue, inflight{tenant: q.tenant, seq: q.seq, at: q.at, key: q.key,
+				attempt: q.attempt + 1, h: h, exp: s.answer(q.tenant, q.key)})
 			return nil
 		}
 		if !errors.Is(err, ErrBackendFull) {
@@ -571,7 +622,7 @@ func (s *server) finish(q inflight, res Result) error {
 	}
 	s.adm.Release(q.tenant)
 	if s.res.Failover == nil {
-		s.retire(q.tenant, q.seq, q.at, res)
+		s.retire(q.tenant, q.seq, q.at, res, q.exp)
 		return nil
 	}
 	return s.failover(q.tenant, q.seq, q.at, q.key)
@@ -582,18 +633,21 @@ func (s *server) finish(q inflight, res Result) error {
 // walk — to the request.
 func (s *server) failover(tenant, seq int, at uint64, key []byte) error {
 	start := s.b.Now()
+	exp := s.answer(tenant, key)
 	res, err := s.res.Failover.Query(s.tables[tenant], key)
 	if err != nil {
 		return fmt.Errorf("serve: request %d failover: %w", seq, err)
 	}
 	s.cfg.Trace.Span("serve", "failover", start, s.b.Now(), trace.PidServe, tenant, nil)
 	s.acct[tenant].failedOver++
-	s.retire(tenant, seq, at, res)
+	s.retire(tenant, seq, at, res, exp)
 	return nil
 }
 
-// retire folds one completed request into its tenant's accounting.
-func (s *server) retire(tenant, seq int, at uint64, res Result) {
+// retire folds one completed request into its tenant's accounting and
+// checks a fault-free answer against exp, the host model's answer when
+// the request went to the backend.
+func (s *server) retire(tenant, seq int, at uint64, res Result, exp expect) {
 	lat := uint64(0)
 	if res.Done > at {
 		lat = res.Done - at
@@ -607,6 +661,8 @@ func (s *server) retire(tenant, seq int, at uint64, res Result) {
 	}
 	if res.Err != nil {
 		a.faults++
+	} else if res.Found != exp.found || (res.Found && res.Value != exp.value) {
+		a.mismatches++
 	}
 	if s.cfg.SLO > 0 && lat > s.cfg.SLO {
 		a.sloViol++
@@ -708,6 +764,7 @@ func (s *server) report(requests int) *Report {
 		agg.shed += a.shed
 		agg.retries += a.retries
 		agg.failedOver += a.failedOver
+		agg.mismatches += a.mismatches
 		thrTotal += s.adm.Throttled(t)
 	}
 	rep.Total = tenantRow(-1, &agg, thrTotal)
@@ -746,6 +803,7 @@ func tenantRow(t int, a *tenantAcct, throttled uint64) TenantStats {
 		Shed:          a.shed,
 		Retries:       a.retries,
 		FailedOver:    a.failedOver,
+		Mismatches:    a.mismatches,
 	}
 }
 
@@ -778,6 +836,7 @@ func (s *server) registerMetrics(reg *metrics.Registry) {
 		treg.RegisterFunc("shed", func() uint64 { return a.shed })
 		treg.RegisterFunc("retries", func() uint64 { return a.retries })
 		treg.RegisterFunc("failover", func() uint64 { return a.failedOver })
+		treg.RegisterFunc("mismatches", func() uint64 { return a.mismatches })
 	}
 	sreg.RegisterFunc("requests", func() uint64 { return s.total.Count() })
 	sreg.RegisterFunc("writes", func() uint64 { return s.wtotal.Count() })
@@ -788,6 +847,7 @@ func (s *server) registerMetrics(reg *metrics.Registry) {
 	sreg.RegisterFunc("shed", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.shed }) })
 	sreg.RegisterFunc("retries", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.retries }) })
 	sreg.RegisterFunc("failover", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.failedOver }) })
+	sreg.RegisterFunc("mismatches", func() uint64 { return s.sumAcct(func(a *tenantAcct) uint64 { return a.mismatches }) })
 	if s.cfg.BatchAdmit > 1 {
 		breg := sreg.Scoped("batch")
 		breg.RegisterFunc("batches", func() uint64 { return s.batches })

@@ -92,6 +92,11 @@ func ReadTrace(r io.Reader) (GenConfig, []Request, error) {
 		default:
 			return GenConfig{}, nil, fmt.Errorf("serve: trace line %d: unknown op %q", line, rec.Op)
 		}
+		// Seq indexes per-request results, so it must be the request's
+		// position: a gap or a repeat would misfile them.
+		if rec.Seq != len(reqs) {
+			return GenConfig{}, nil, fmt.Errorf("serve: trace line %d: seq %d, want %d", line, rec.Seq, len(reqs))
+		}
 		reqs = append(reqs, Request{Seq: rec.Seq, Tenant: rec.Tenant, At: rec.At, Key: key,
 			Op: Op(rec.Op), Value: rec.Value})
 	}

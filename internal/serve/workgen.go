@@ -48,6 +48,12 @@ type GenConfig struct {
 	// streams and their traces stay byte-identical.
 	WriteFraction  float64 `json:"write_fraction,omitempty"`
 	DeleteFraction float64 `json:"delete_fraction,omitempty"`
+	// Grow makes the key set grow: half of the upserts insert a fresh
+	// rank >= KeysPerTenant (the right edge of ordered structures, so
+	// splits and rehashes fire), and once any exist a quarter of the
+	// lookups probe one of them. Off, it draws nothing, so streams
+	// without it stay byte-identical.
+	Grow bool `json:"grow,omitempty"`
 }
 
 // Validate checks the config's invariants.
@@ -190,9 +196,14 @@ func genTenant(cfg GenConfig, t, count int, share float64) []Request {
 	// The write decision stream has its own sub-seeded source, created
 	// only when writes are enabled: a read-only config consumes exactly
 	// the draws it always did, keeping its streams byte-identical.
-	var wrng *rand.Rand
+	var wrng, grng *rand.Rand
 	if cfg.WriteFraction > 0 {
 		wrng = rand.New(rand.NewSource(tenantSeed(cfg.Seed, t, 2)))
+	}
+	// Key growth draws from a third source, so it rewrites keys only:
+	// arrivals, tenants and ops match the stream without it.
+	if cfg.Grow {
+		grng = rand.New(rand.NewSource(tenantSeed(cfg.Seed, t, 3)))
 	}
 	gap := uint64(math.Round(float64(cfg.MeanGap) / share))
 	if gap < 1 {
@@ -200,18 +211,27 @@ func genTenant(cfg GenConfig, t, count int, share float64) []Request {
 	}
 	reqs := make([]Request, count)
 	at := uint64(0)
+	fresh := 0 // ranks inserted past KeysPerTenant so far (Grow)
 	for i := range reqs {
 		// Uniform in [1, 2*gap-1]: mean gap, never zero, deterministic.
 		at += 1 + uint64(rng.Int63n(int64(2*gap-1)))
-		req := Request{Tenant: t, At: at, Key: TenantKey(cfg, t, pick.Next())}
+		rank := pick.Next()
+		req := Request{Tenant: t, At: at}
 		if wrng != nil && wrng.Float64() < cfg.WriteFraction {
 			if wrng.Float64() < cfg.DeleteFraction {
 				req.Op = OpDel
 			} else {
 				req.Op = OpPut
 				req.Value = wrng.Uint64() | 1 // never zero: trie-safe
+				if grng != nil && grng.Intn(2) == 0 {
+					rank = cfg.KeysPerTenant + fresh
+					fresh++
+				}
 			}
+		} else if fresh > 0 && grng.Intn(4) == 0 {
+			rank = cfg.KeysPerTenant + grng.Intn(fresh)
 		}
+		req.Key = TenantKey(cfg, t, rank)
 		reqs[i] = req
 	}
 	return reqs

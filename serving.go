@@ -27,11 +27,16 @@ func ServingBackends() []string { return []string{"qei", "baseline"} }
 // timed on a simulated core (QuerySoftware). Both share sys's address
 // space, memory system, and issue clock.
 func NewServingBackend(name string, sys *System) (serve.Backend, error) {
+	return newServingBackend(name, &servingMutator{sys: sys})
+}
+
+// newServingBackend wraps m as the named backend adapter.
+func newServingBackend(name string, m *servingMutator) (serve.Backend, error) {
 	switch name {
 	case "qei":
-		return &qeiServeBackend{servingMutator{sys: sys}}, nil
+		return &qeiServeBackend{m}, nil
 	case "baseline":
-		return &baselineServeBackend{servingMutator: servingMutator{sys: sys}}, nil
+		return &baselineServeBackend{servingMutator: m}, nil
 	default:
 		return nil, fmt.Errorf("qei: unknown serving backend %q (have %v)", name, ServingBackends())
 	}
@@ -53,6 +58,10 @@ func servingTable(t serve.Table) Table {
 // paths are backend-independent.
 type servingMutator struct {
 	sys *System
+	// maxLoad overrides the cuckoo rehash ceiling of mutable tables (0
+	// keeps the default); mutables lists them in build order.
+	maxLoad  float64
+	mutables []*MutableTable
 }
 
 func (m *servingMutator) Build(kind string, keys [][]byte, values []uint64) (serve.Table, error) {
@@ -68,7 +77,13 @@ func (m *servingMutator) BuildMutable(kind string, keys [][]byte, values []uint6
 	if err != nil {
 		return nil, err
 	}
-	return m.sys.BuildMutable(k, keys, values)
+	mt, err := m.sys.BuildMutable(k, keys, values)
+	if err != nil {
+		return nil, err
+	}
+	mt.SetMaxLoadFactor(m.maxLoad)
+	m.mutables = append(m.mutables, mt)
+	return mt, nil
 }
 
 func (m *servingMutator) Insert(t serve.Table, key []byte, value uint64) error {
@@ -91,7 +106,7 @@ func (m *servingMutator) Delete(t serve.Table, key []byte) (bool, error) {
 // entries and overlap; ErrQSTFull maps to the serve layer's
 // ErrBackendFull so the server drains and reissues.
 type qeiServeBackend struct {
-	servingMutator
+	*servingMutator
 }
 
 func (b *qeiServeBackend) Name() string { return "qei" }
@@ -179,7 +194,7 @@ func (b *qeiServeBackend) Stats() serve.Stats {
 // as end-to-end latency exactly as a single-threaded software server
 // would exhibit it.
 type baselineServeBackend struct {
-	servingMutator
+	*servingMutator
 	queries    uint64
 	exceptions uint64
 }
@@ -258,6 +273,10 @@ type ServingConfig struct {
 	// byte-identical to pre-write streams.
 	WriteFraction  float64
 	DeleteFraction float64
+	// Grow makes the tenants' key sets grow (serve.GenConfig.Grow):
+	// half of the upserts insert fresh keys and a quarter of the
+	// lookups probe them.
+	Grow bool
 	// WriteCost is the simulated-cycle charge per mutation (0 uses the
 	// serve-layer default).
 	WriteCost uint64
@@ -355,6 +374,7 @@ func (c ServingConfig) GenConfig() serve.GenConfig {
 		Seed:           c.Seed,
 		WriteFraction:  c.WriteFraction,
 		DeleteFraction: c.DeleteFraction,
+		Grow:           c.Grow,
 	}
 }
 
@@ -375,6 +395,15 @@ func RunServing(cfg ServingConfig) (*serve.Report, error) {
 // Replaying a recorded trace is byte-identical to the live run that
 // recorded it.
 func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request) (*serve.Report, error) {
+	rep, _, err := replayServing(cfg, gen, reqs, 0)
+	return rep, err
+}
+
+// replayServing is ReplayServing with the primary backend's cuckoo
+// rehash ceiling overridden by maxLoad (0 keeps the default). It also
+// returns the primary's mutator, whose tables and machine the streaming
+// experiment reads mutation and epoch counters from.
+func replayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request, maxLoad float64) (*serve.Report, *servingMutator, error) {
 	opts := []Option{WithSeed(cfg.Seed)}
 	if cfg.Machine != nil {
 		opts = append(opts, WithMachineSpec(*cfg.Machine))
@@ -392,9 +421,10 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 		opts = append(opts, WithTimeline())
 	}
 	sys := NewSystem(cfg.Scheme, opts...)
-	backend, err := NewServingBackend(cfg.Backend, sys)
+	mut := &servingMutator{sys: sys, maxLoad: maxLoad}
+	backend, err := newServingBackend(cfg.Backend, mut)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scfg := serve.Config{
 		Gen:            gen,
@@ -425,7 +455,7 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 		if cfg.Backend != "baseline" {
 			fo, err := NewServingBackend("baseline", sys)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			res.Failover = fo
 		}
@@ -433,7 +463,7 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 	}
 	rep, err := serve.Run(backend, scfg, reqs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Machine-level outcomes the serving layer cannot see: chaos volume
 	// and the epoch GC's read-after-retire count (always asserted 0).
@@ -449,10 +479,10 @@ func ReplayServing(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request)
 	}
 	if cfg.Timeline != "" {
 		if err := os.WriteFile(cfg.Timeline, []byte(sys.ExportTrace()), 0o644); err != nil {
-			return nil, fmt.Errorf("qei: serving timeline: %w", err)
+			return nil, nil, fmt.Errorf("qei: serving timeline: %w", err)
 		}
 	}
-	return rep, nil
+	return rep, mut, nil
 }
 
 // ServingPercentiles is the "serving" experiment: the same seeded

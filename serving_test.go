@@ -116,9 +116,11 @@ func TestServingGenParallelIdentical(t *testing.T) {
 // TestServingBackendsAgreeOnValues pins backend interchangeability: the
 // accelerator and the software baseline serve the identical stream
 // through the shared Backend interface and return the same Found/Value
-// for every request (cycle counts legitimately differ).
+// for every request (cycle counts legitimately differ), each matching
+// the server's host model. A trie probe is a scan of the key, whose
+// value on both paths is the last match's.
 func TestServingBackendsAgreeOnValues(t *testing.T) {
-	for _, kind := range []StructKind{KindCuckoo, KindBST, KindSkipList} {
+	for _, kind := range []StructKind{KindCuckoo, KindBST, KindSkipList, KindHashTable, KindTrie} {
 		cfg := DefaultServingConfig()
 		cfg.Requests = 90
 		cfg.Tenants = 3
@@ -135,6 +137,9 @@ func TestServingBackendsAgreeOnValues(t *testing.T) {
 			}
 			if rep.Backend != be {
 				t.Fatalf("report names backend %q, want %q", rep.Backend, be)
+			}
+			if rep.Total.Mismatches != 0 {
+				t.Fatalf("%s/%s: %d answers disagree with the host model", kind, be, rep.Total.Mismatches)
 			}
 			reports[be] = rep
 		}
@@ -232,5 +237,46 @@ func TestServingMixedReadWrite(t *testing.T) {
 func TestNewServingBackendUnknown(t *testing.T) {
 	if _, err := NewServingBackend("gpu", NewSystem(CoreIntegrated)); err == nil {
 		t.Fatal("expected error for unknown backend name")
+	}
+}
+
+// TestServingHostModelAgrees drives a 30%-write stream with key growth
+// through every mutable kind on both backends, plain, with batched
+// admission and with the resilience layer: every fault-free answer must
+// match the server's host model.
+func TestServingHostModelAgrees(t *testing.T) {
+	kinds := []StructKind{KindCuckoo, KindSkipList, KindBST, KindBTree, KindLinkedList}
+	modes := map[string]func(*ServingConfig){
+		"plain":     func(*ServingConfig) {},
+		"batch":     func(c *ServingConfig) { c.BatchAdmit = 8 },
+		"resilient": func(c *ServingConfig) { c.Resilient = true },
+	}
+	for _, kind := range kinds {
+		for _, be := range ServingBackends() {
+			for mode, set := range modes {
+				if mode == "batch" && be == "baseline" {
+					continue // the software walker has no batch path
+				}
+				cfg := DefaultServingConfig()
+				cfg.Kind = kind
+				cfg.Backend = be
+				cfg.Requests = 200
+				cfg.KeysPerTenant = 48
+				cfg.WriteFraction = 0.3
+				cfg.DeleteFraction = 0.4
+				cfg.Grow = true
+				set(&cfg)
+				rep, err := RunServing(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: %v", kind, be, mode, err)
+				}
+				if rep.Total.Mismatches != 0 {
+					t.Errorf("%s/%s/%s: %d answers disagree with the host model", kind, be, mode, rep.Total.Mismatches)
+				}
+				if rep.Total.Writes == 0 || rep.Total.Found == 0 {
+					t.Fatalf("%s/%s/%s: vacuous run %+v", kind, be, mode, rep.Total)
+				}
+			}
+		}
 	}
 }

@@ -3,164 +3,75 @@ package qei
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 
 	"qei/internal/epoch"
-	"qei/internal/stream"
+	"qei/internal/serve"
 )
 
-// This file wires the streaming mutation engine (internal/stream) to
-// the simulated machine: a seeded read-write operation stream drives a
-// MutableTable while accelerated lookups stay in flight across the
+// This file holds the "streaming" experiment: one tenant's mutable
+// table under a seeded, growing read-write stream, served through the
+// serving path with up to eight lookups in flight across the
 // mutations, exercising the epoch-based reclamation protocol end to
-// end. Live runs and trace replays are byte-identical, as are serial
-// and parallel experiment executions.
+// end. The server checks every answer against its host model; the
+// experiment adds the table's mutation counters and the epoch GC's
+// reclamation accounting. Live runs and trace replays are
+// byte-identical, as are serial and parallel experiment executions.
 
-// StreamConfig describes one streaming run end to end: the operation
-// mix, the structure under mutation, and the machine serving the
-// lookups. The zero value is not runnable; DefaultStreamConfig gives a
-// small, fast configuration.
-type StreamConfig struct {
-	// Scheme is the accelerator integration scheme of the simulated
-	// machine.
-	Scheme Scheme
-	// Kind is the mutable structure the stream drives (one of the
-	// BuildMutable kinds).
-	Kind StructKind
-	// InitialKeys, Ops, KeyLen, WriteFraction, DeleteFraction, KeySkew,
-	// Window and Seed mirror stream.Config.
-	InitialKeys    int
-	Ops            int
-	KeyLen         int
-	WriteFraction  float64
-	DeleteFraction float64
-	KeySkew        float64
-	Window         int
-	Seed           int64
-	// MaxLoadFactor overrides the cuckoo online-rehash ceiling (0 keeps
-	// the default; see MutableTable.SetMaxLoadFactor).
-	MaxLoadFactor float64
-	// Faults arms the deterministic fault-injection harness for the
-	// run (chaos soaks); nil keeps every hook a free no-op.
-	Faults *FaultSpec
-	// Machine runs on the given chip instead of the Tab. II default.
-	Machine *MachineSpec
-	// Metrics attaches the simulator metrics registry; the stream's
-	// counters register under stream/ alongside it.
-	Metrics bool
-}
-
-// DefaultStreamConfig returns a small, fast streaming configuration: a
-// B+-tree under a 30%-write Zipf(0.99) stream with eight lookups in
-// flight.
-func DefaultStreamConfig() StreamConfig {
-	return StreamConfig{
-		Scheme:         CoreIntegrated,
-		Kind:           KindBTree,
-		InitialKeys:    96,
-		Ops:            420,
-		KeyLen:         16,
-		WriteFraction:  0.3,
-		DeleteFraction: 0.4,
-		KeySkew:        0.99,
-		Window:         8,
-		Seed:           7,
+// streamingConfig is the experiment's serving configuration for one
+// structure kind: a single tenant under a 30%-write Zipf(0.99) stream
+// whose upserts keep growing the key set, arriving fast enough that
+// the eight-slot lookup window fills between writes.
+func streamingConfig(s Scale, kind StructKind) ServingConfig {
+	cfg := DefaultServingConfig()
+	cfg.Kind = kind
+	cfg.Tenants = 1
+	cfg.Requests = 420
+	cfg.KeysPerTenant = 96
+	cfg.MeanGap = 40
+	cfg.SlotsPerTenant = 8
+	cfg.WriteFraction = 0.3
+	cfg.DeleteFraction = 0.4
+	cfg.Grow = true
+	cfg.KeepResults = true
+	if s == FullScale {
+		cfg.KeysPerTenant = 512
+		cfg.Requests = 4000
 	}
+	return cfg
 }
 
-// streamConfig renders the workload-generation part of the config.
-func (c StreamConfig) streamConfig() stream.Config {
-	return stream.Config{
-		InitialKeys:    c.InitialKeys,
-		Ops:            c.Ops,
-		KeyLen:         c.KeyLen,
-		WriteFraction:  c.WriteFraction,
-		DeleteFraction: c.DeleteFraction,
-		KeySkew:        c.KeySkew,
-		Window:         c.Window,
-		Seed:           c.Seed,
-	}
+// streamingRun is one streaming run's outcome: the serving report plus
+// the table's mutation counters and the epoch GC's accounting.
+type streamingRun struct {
+	rep   *serve.Report
+	mut   MutStats
+	epoch epoch.Stats
 }
 
-// StreamReport is one streaming run's outcome: the engine's
-// verification report plus the table's mutation counters and the epoch
-// GC's reclamation accounting.
-type StreamReport struct {
-	stream.Report
-	Mut   MutStats
-	Epoch epoch.Stats
-}
-
-// streamTarget adapts a System+MutableTable pair to the stream engine:
-// mutations run in software immediately, lookups ride the accelerator's
-// non-blocking path so the window stays in flight across writes.
-type streamTarget struct {
-	sys *System
-	mt  *MutableTable
-}
-
-func (t *streamTarget) Insert(key []byte, value uint64) error { return t.mt.Insert(key, value) }
-func (t *streamTarget) Delete(key []byte) (bool, error)       { return t.mt.Delete(key) }
-
-func (t *streamTarget) QueryAsync(key []byte) (stream.Handle, error) {
-	return t.sys.QueryAsync(t.mt.Table, key)
-}
-
-func (t *streamTarget) Wait(h stream.Handle) (stream.Outcome, error) {
-	res, err := t.sys.Wait(h.(AsyncHandle))
-	if err != nil {
-		return stream.Outcome{}, err
-	}
-	return stream.Outcome{
-		Found:   res.Found,
-		Value:   res.Value,
-		Latency: res.Latency,
-		Faulted: res.Err != nil,
-	}, nil
-}
-
-// RunStream generates the seeded operation stream and drives it on a
-// fresh simulated machine. The run is deterministic: equal configs
-// yield equal reports, digest included.
-func RunStream(cfg StreamConfig) (*StreamReport, error) {
-	wl, err := stream.Generate(cfg.streamConfig())
+// runStreaming serves reqs under cfg with the cuckoo rehash ceiling
+// overridden by maxLoad (0 keeps the default).
+func runStreaming(cfg ServingConfig, gen serve.GenConfig, reqs []serve.Request, maxLoad float64) (*streamingRun, error) {
+	rep, mut, err := replayServing(cfg, gen, reqs, maxLoad)
 	if err != nil {
 		return nil, err
 	}
-	return ReplayStream(cfg, wl)
+	run := &streamingRun{rep: rep, epoch: mut.sys.EpochStats()}
+	if len(mut.mutables) > 0 {
+		run.mut = mut.mutables[0].MutStats()
+	}
+	return run, nil
 }
 
-// ReplayStream drives an explicit workload (a recorded trace, or a
-// freshly generated one) on a fresh machine. Replaying a recorded
-// trace is byte-identical to the live run that recorded it.
-func ReplayStream(cfg StreamConfig, wl *stream.Workload) (*StreamReport, error) {
-	opts := []Option{WithSeed(cfg.Seed)}
-	if cfg.Machine != nil {
-		opts = append(opts, WithMachineSpec(*cfg.Machine))
+// resultsDigest folds every request's result, completion cycle
+// included, into one FNV-1a value: two runs are behaviorally identical
+// iff their digests match.
+func resultsDigest(results []serve.Result) uint64 {
+	h := fnv.New64a()
+	for _, r := range results {
+		fmt.Fprintln(h, r.Found, r.Value, r.Done, r.Err != nil)
 	}
-	if cfg.Metrics {
-		opts = append(opts, WithMetrics())
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, WithFaultInjection(*cfg.Faults))
-	}
-	sys := NewSystem(cfg.Scheme, opts...)
-	if wl.Cfg.Window > sys.QSTCapacity() {
-		return nil, fmt.Errorf("qei: stream window %d exceeds QST capacity %d",
-			wl.Cfg.Window, sys.QSTCapacity())
-	}
-	keys, values := wl.InitialTable()
-	mt, err := sys.BuildMutable(cfg.Kind, keys, values)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.MaxLoadFactor > 0 {
-		mt.SetMaxLoadFactor(cfg.MaxLoadFactor)
-	}
-	rep, err := stream.Run(wl, &streamTarget{sys: sys, mt: mt}, sys.mreg)
-	if err != nil {
-		return nil, err
-	}
-	return &StreamReport{Report: *rep, Mut: mt.MutStats(), Epoch: sys.EpochStats()}, nil
+	return h.Sum64()
 }
 
 // streamingJob is one structure kind's slot in the streaming
@@ -174,7 +85,7 @@ type streamingJob struct {
 // StreamingConsistency is the "streaming" experiment: the same seeded
 // read-write stream driven against each mutable structure kind, with
 // lookups pinned in flight across mutations. The row set proves the
-// consistency story: zero model mismatches, zero read-after-retire
+// consistency story: zero host-model mismatches, zero read-after-retire
 // violations, and the structural-maintenance paths (online rehash,
 // B+-tree splits and merges) actually exercised.
 func StreamingConsistency(s Scale, opts ...ExpOption) (TableData, error) {
@@ -184,11 +95,8 @@ func StreamingConsistency(s Scale, opts ...ExpOption) (TableData, error) {
 			"rehash", "split", "merge", "rebuild", "retired", "reclaimed",
 			"reused", "viol", "p50", "p99", "digest"},
 	}
-	base := DefaultStreamConfig()
 	cuckooLoad := 0.10
 	if s == FullScale {
-		base.InitialKeys = 512
-		base.Ops = 4000
 		cuckooLoad = 0.15
 	}
 	jobs := []streamingJob{
@@ -199,33 +107,47 @@ func StreamingConsistency(s Scale, opts ...ExpOption) (TableData, error) {
 	}
 	rows, err := expRows(expConfigFor(opts), jobs,
 		func(_ context.Context, _ int, j streamingJob) ([][]string, error) {
-			cfg := base
-			cfg.Kind = j.kind
-			cfg.MaxLoadFactor = j.maxLoad
-			rep, err := RunStream(cfg)
+			cfg := streamingConfig(s, j.kind)
+			gen := cfg.GenConfig()
+			reqs, err := serve.Generate(gen)
 			if err != nil {
 				return nil, err
 			}
-			if rep.Mismatches != 0 {
-				return nil, fmt.Errorf("qei: streaming %s: %d lookups disagreed with the host model",
-					j.kind, rep.Mismatches)
+			run, err := runStreaming(cfg, gen, reqs, j.maxLoad)
+			if err != nil {
+				return nil, err
 			}
-			if rep.Epoch.Violations != 0 {
+			tot := run.rep.Total
+			if tot.Mismatches != 0 {
+				return nil, fmt.Errorf("qei: streaming %s: %d answers disagreed with the host model",
+					j.kind, tot.Mismatches)
+			}
+			if run.epoch.Violations != 0 {
 				return nil, fmt.Errorf("qei: streaming %s: %d read-after-retire violations",
-					j.kind, rep.Epoch.Violations)
+					j.kind, run.epoch.Violations)
 			}
-			if j.kind == KindCuckoo && rep.Mut.Rehashes == 0 {
+			if j.kind == KindCuckoo && run.mut.Rehashes == 0 {
 				return nil, fmt.Errorf("qei: streaming cuckoo run exercised no online rehash")
 			}
-			if j.kind == KindBTree && rep.Mut.Splits == 0 {
+			if j.kind == KindBTree && run.mut.Splits == 0 {
 				return nil, fmt.Errorf("qei: streaming btree run exercised no node split")
 			}
-			return [][]string{{j.kind.String(), f("%d", rep.Ops), f("%d", rep.Puts),
-				f("%d", rep.Dels), f("%d", rep.Hits), f("%d", rep.Mismatches),
-				f("%d", rep.Mut.Rehashes), f("%d", rep.Mut.Splits), f("%d", rep.Mut.Merges),
-				f("%d", rep.Mut.Rebuilds), f("%d", rep.Epoch.Retired), f("%d", rep.Epoch.Reclaimed),
-				f("%d", rep.Epoch.Reused), f("%d", rep.Epoch.Violations),
-				f("%d", rep.P50), f("%d", rep.P99), f("%016x", rep.Digest)}}, nil
+			var puts, dels int
+			for _, r := range reqs {
+				switch r.Op {
+				case serve.OpPut:
+					puts++
+				case serve.OpDel:
+					dels++
+				}
+			}
+			m, e := run.mut, run.epoch
+			return [][]string{{j.kind.String(), f("%d", len(reqs)), f("%d", puts),
+				f("%d", dels), f("%d", tot.Found), f("%d", tot.Mismatches),
+				f("%d", m.Rehashes), f("%d", m.Splits), f("%d", m.Merges),
+				f("%d", m.Rebuilds), f("%d", e.Retired), f("%d", e.Reclaimed),
+				f("%d", e.Reused), f("%d", e.Violations),
+				f("%d", tot.P50), f("%d", tot.P99), f("%016x", resultsDigest(run.rep.Results))}}, nil
 		})
 	t.Rows = rows
 	return t, err

@@ -2,9 +2,10 @@ package qei
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
-	"qei/internal/stream"
+	"qei/internal/serve"
 )
 
 func TestStreamingSerialParallelIdentical(t *testing.T) {
@@ -24,80 +25,86 @@ func TestStreamingSerialParallelIdentical(t *testing.T) {
 	}
 }
 
+// streamRun generates cfg's stream and serves it as the streaming
+// experiment does.
+func streamRun(t *testing.T, cfg ServingConfig) *streamingRun {
+	t.Helper()
+	reqs, err := serve.Generate(cfg.GenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := runStreaming(cfg, cfg.GenConfig(), reqs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestStreamLiveReplayTraceIdentical(t *testing.T) {
-	cfg := DefaultStreamConfig()
-	live, err := RunStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Mismatches != 0 || live.Epoch.Violations != 0 {
-		t.Fatalf("live run inconsistent: %+v", live.Report)
+	cfg := streamingConfig(Small, KindBTree)
+	live := streamRun(t, cfg)
+	if live.rep.Total.Mismatches != 0 || live.epoch.Violations != 0 {
+		t.Fatalf("live run inconsistent: %+v, epoch %+v", live.rep.Total, live.epoch)
 	}
 
-	// Replaying the same generated workload reproduces the digest.
-	wl, err := stream.Generate(cfg.streamConfig())
+	// A trace round-tripped through the JSONL codec replays the same
+	// run: same results, same report, same table and epoch counters.
+	gen := cfg.GenConfig()
+	reqs, err := serve.Generate(gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := ReplayStream(cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replay.Digest != live.Digest {
-		t.Fatalf("replay digest %016x, live %016x", replay.Digest, live.Digest)
-	}
-
-	// And so does a trace round-tripped through the JSONL codec.
 	var buf bytes.Buffer
-	if err := stream.WriteTrace(&buf, wl); err != nil {
+	if err := serve.WriteTrace(&buf, gen, reqs); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := stream.ReadTrace(&buf)
+	rgen, rreqs, err := serve.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromTrace, err := ReplayStream(cfg, loaded)
+	replay, err := runStreaming(cfg, rgen, rreqs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromTrace.Digest != live.Digest {
-		t.Fatalf("trace replay digest %016x, live %016x", fromTrace.Digest, live.Digest)
+	if a, b := resultsDigest(live.rep.Results), resultsDigest(replay.rep.Results); a != b {
+		t.Fatalf("trace replay digest %016x, live %016x", b, a)
 	}
-	if *fromTrace != *live {
-		t.Fatalf("trace replay report diverged: %+v vs %+v", fromTrace, live)
+	lj, _ := json.Marshal(live.rep)
+	rj, _ := json.Marshal(replay.rep)
+	if !bytes.Equal(lj, rj) || live.mut != replay.mut || live.epoch != replay.epoch {
+		t.Fatalf("trace replay diverged:\nlive   %s %+v %+v\nreplay %s %+v %+v",
+			lj, live.mut, live.epoch, rj, replay.mut, replay.epoch)
 	}
 }
 
 // Property: across seeds and structure kinds, no in-flight query ever
 // dereferences a reclaimed address (the read watcher would count a
 // violation), even under a write-heavy stream that reuses memory.
+// Admission throttling proves lookups filled their window, so they
+// were in flight across the writes.
 func TestStreamNoReadAfterRetireProperty(t *testing.T) {
 	kinds := []StructKind{KindSkipList, KindBST, KindBTree}
 	var reused uint64
 	for _, kind := range kinds {
 		for seed := int64(1); seed <= 3; seed++ {
-			cfg := DefaultStreamConfig()
-			cfg.Kind = kind
+			cfg := streamingConfig(Small, kind)
 			cfg.Seed = seed
 			cfg.WriteFraction = 0.5
 			cfg.DeleteFraction = 0.5
-			rep, err := RunStream(cfg)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", kind, seed, err)
+			run := streamRun(t, cfg)
+			if run.epoch.Violations != 0 {
+				t.Fatalf("%s seed %d: %d read-after-retire violations", kind, seed, run.epoch.Violations)
 			}
-			if rep.Epoch.Violations != 0 {
-				t.Fatalf("%s seed %d: %d read-after-retire violations", kind, seed, rep.Epoch.Violations)
+			if run.rep.Total.Mismatches != 0 {
+				t.Fatalf("%s seed %d: %d host-model mismatches", kind, seed, run.rep.Total.Mismatches)
 			}
-			if rep.Mismatches != 0 {
-				t.Fatalf("%s seed %d: %d model mismatches", kind, seed, rep.Mismatches)
-			}
-			if rep.Epoch.Retired == 0 {
+			if run.epoch.Retired == 0 {
 				t.Fatalf("%s seed %d: write-heavy stream retired nothing", kind, seed)
 			}
-			if rep.MaxOutstanding < 2 {
-				t.Fatalf("%s seed %d: no queries overlapped mutations", kind, seed)
+			if run.rep.Total.Throttled == 0 {
+				t.Fatalf("%s seed %d: lookups never filled their window", kind, seed)
 			}
-			reused += rep.Epoch.Reused
+			reused += run.epoch.Reused
 		}
 	}
 	if reused == 0 {
@@ -110,38 +117,32 @@ func TestStreamNoReadAfterRetireProperty(t *testing.T) {
 // lookups are tolerated (counted, not fatal); the run itself must stay
 // deterministic and complete every operation.
 func TestStreamChaosSoakWithFaults(t *testing.T) {
-	cfg := DefaultStreamConfig()
-	cfg.Kind = KindSkipList
+	cfg := streamingConfig(Small, KindSkipList)
 	cfg.WriteFraction = 0.4
 	faults := MustParseFaultSpec("11:flip=0.002,spurious=0.02,nocdelay=0.01")
 	cfg.Faults = &faults
 
-	soak, err := RunStream(cfg)
-	if err != nil {
-		t.Fatal(err)
+	soak := streamRun(t, cfg)
+	if tot := soak.rep.Total; tot.Requests+tot.Writes != uint64(cfg.Requests) {
+		t.Fatalf("soak completed %d reads + %d writes of %d ops", tot.Requests, tot.Writes, cfg.Requests)
 	}
-	if soak.Ops != cfg.Ops {
-		t.Fatalf("soak completed %d/%d ops", soak.Ops, cfg.Ops)
+	if soak.rep.FaultsInjected == 0 {
+		t.Fatal("chaos schedule injected nothing")
 	}
-	again, err := RunStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Digest != soak.Digest {
-		t.Fatalf("chaos soak not deterministic: %016x vs %016x", again.Digest, soak.Digest)
+	again := streamRun(t, cfg)
+	digest := resultsDigest(soak.rep.Results)
+	if d := resultsDigest(again.rep.Results); d != digest {
+		t.Fatalf("chaos soak not deterministic: %016x vs %016x", d, digest)
 	}
 
 	// The same stream without faults must behave differently — proof
 	// the injector actually engaged the overlapped read-write path.
 	cfg.Faults = nil
-	clean, err := RunStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Digest == soak.Digest {
+	clean := streamRun(t, cfg)
+	if resultsDigest(clean.rep.Results) == digest {
 		t.Fatal("fault injection changed nothing; soak was vacuous")
 	}
-	if clean.Mismatches != 0 || clean.Epoch.Violations != 0 {
-		t.Fatalf("clean run inconsistent: %+v", clean.Report)
+	if clean.rep.Total.Mismatches != 0 || clean.epoch.Violations != 0 {
+		t.Fatalf("clean run inconsistent: %+v, epoch %+v", clean.rep.Total, clean.epoch)
 	}
 }

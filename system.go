@@ -464,7 +464,7 @@ func (s *System) Wait(h AsyncHandle) (Result, error) {
 	}
 	if r.Aborted {
 		s.unpinTag(h.tag)
-		return Result{}, fmt.Errorf("qei: query %d: %w", h.tag, ErrAborted)
+		return Result{}, fmt.Errorf("%w: tag %d", ErrAborted, h.tag)
 	}
 	if r.Done > s.now {
 		s.now = r.Done
@@ -498,7 +498,7 @@ func (s *System) Poll(h AsyncHandle) (Result, error) {
 	}
 	if r.Aborted {
 		s.unpinTag(h.tag)
-		return Result{}, fmt.Errorf("qei: query %d: %w", h.tag, ErrAborted)
+		return Result{}, fmt.Errorf("%w: tag %d", ErrAborted, h.tag)
 	}
 	if r.Done > s.now {
 		return Result{}, ErrResultPending

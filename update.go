@@ -168,7 +168,16 @@ func (t *MutableTable) Insert(key []byte, value uint64) error {
 	case t.bt != nil:
 		_, err = t.bt.Insert(as, gc, key, value)
 	case t.ll != nil:
-		err = t.ll.InsertFront(as, gc, key, value)
+		// Upsert is copy-on-write: unlink and retire the key's old node,
+		// then prepend the new one, so the list never holds two copies.
+		var ok bool
+		var e mem.Extent
+		if ok, e, err = t.ll.Remove(as, key); err == nil {
+			if ok {
+				t.retire(e)
+			}
+			err = t.ll.InsertFront(as, gc, key, value)
+		}
 	default:
 		return fmt.Errorf("%w: Insert on %s", ErrUnsupportedOp, t.Kind)
 	}

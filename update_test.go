@@ -137,6 +137,34 @@ func TestMutableLinkedList(t *testing.T) {
 	}
 }
 
+// TestMutableLinkedListUpsert pins upsert semantics on the list: putting
+// an existing key replaces its node, so one delete removes the key.
+func TestMutableLinkedListUpsert(t *testing.T) {
+	sys := NewSystem(CoreIntegrated)
+	keys, vals := testKeys(8, 16, 29)
+	ll, err := sys.BuildMutable(KindLinkedList, keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ll.Insert(keys[3], 77); err != nil {
+		t.Fatal(err)
+	}
+	res, err := ll.Query(keys[3])
+	if err != nil || !res.Found || res.Value != 77 {
+		t.Fatalf("upserted value not visible: %+v %v", res, err)
+	}
+	if ok, err := ll.Delete(keys[3]); err != nil || !ok {
+		t.Fatalf("delete after upsert: %v %v", ok, err)
+	}
+	res, err = ll.Query(keys[3])
+	if err != nil || res.Found {
+		t.Fatalf("deleted key came back after upsert: %+v %v", res, err)
+	}
+	if st := ll.MutStats(); st.RetiredNodes != 2 {
+		t.Fatalf("retired %d nodes, want the replaced and the deleted one", st.RetiredNodes)
+	}
+}
+
 func TestMutableKeyValidation(t *testing.T) {
 	sys := NewSystem(CoreIntegrated)
 	keys, vals := testKeys(10, 16, 24)
