@@ -111,7 +111,8 @@ func PlanBatch(kind StructKind, n int) BatchPlan {
 //     and coalescing duplicate keys onto one probe. Results are
 //     byte-identical to the per-query path — any query that deviates
 //     (fault, watchdog, corrupt pointer) is transparently re-executed on
-//     the per-query path with its full retry/fallback ladder.
+//     the per-query path with its retry-from-root; a fault that
+//     survives it is reported in Result.Err, as on QueryAt.
 //
 // Over-capacity contract (windowed path): len(keys) may exceed the QST
 // capacity by any factor. The batch admits at most min(capacity,
@@ -147,7 +148,7 @@ func (s *System) QueryBatch(t Table, keys [][]byte, opts ...BatchOption) ([]Resu
 // queryBatchLevelWise submits the batch as one batched instruction to
 // the level-wise engine, then re-executes any queries the engine
 // deferred on the standard per-query path (preserving its exact
-// retry/backoff/fallback semantics).
+// retry/backoff semantics).
 func (s *System) queryBatchLevelWise(t Table, keys [][]byte) ([]Result, error) {
 	if len(keys) == 0 {
 		return nil, nil

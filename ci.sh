@@ -23,7 +23,7 @@ go test -race -timeout 90m ./...
 go test -run '^$' -bench BenchmarkTab1 -benchtime 1x -short .
 
 # Zero-overhead guard: attaching metrics + tracing — and the disabled
-# fault-injection/watchdog/fallback apparatus — must not move a single
+# fault-injection/watchdog apparatus — must not move a single
 # simulated cycle (deterministic cycle-count assertion — no flaky
 # wall-clock thresholds).
 go test -run '^(TestObservabilityZeroCycleImpact|TestFaultInjectionZeroCycleImpact)$' -count=1 .
@@ -129,6 +129,23 @@ case "$res_live" in
 esac
 if [ "$res_live" != "$res_replay" ]; then
 	echo "resilience-smoke: chaos replay diverged from live run" >&2
+	exit 1
+fi
+# Batched admission takes the same failover policy: the schedule minus
+# flip (silent corruption no strategy can agree on; the later -faults
+# wins) must fail lookups over and surface no fault in the aggregate
+# row. Tenant rows carry "faults" too, so the aggregate is read from
+# the parsed JSON.
+res_batch=$(go run ./cmd/qeiserve $res_flags -faults 9:spurious=0.3,shootdown=0.05 -batchmode -json)
+case "$res_batch" in
+*'"failed_over"'*) ;;
+*)
+	echo "resilience-smoke: batched admission failed nothing over" >&2
+	exit 1
+	;;
+esac
+if ! echo "$res_batch" | python3 -c 'import json, sys; sys.exit(any(r["total"]["faults"] for r in json.load(sys.stdin)["reports"]))'; then
+	echo "resilience-smoke: batched admission surfaced faults" >&2
 	exit 1
 fi
 

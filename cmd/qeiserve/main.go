@@ -55,7 +55,10 @@
 // -batchmode turns on batched admission (qei backend only): lookups
 // buffer per tenant and flush through the level-wise batch engine in
 // groups of up to -batchadmit keys; a tenant's buffer also flushes
-// before its writes and at end of stream. A greppable "batch ..."
+// before its writes and at end of stream. With -resilient, batched
+// lookups take the same breaker, shedding and failover as per-query
+// ones (the engine's per-query re-run stands in for the retry). A
+// greppable "batch ..."
 // counter line (flush counts plus the engine's amortization counters)
 // follows each text report.
 //

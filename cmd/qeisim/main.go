@@ -13,8 +13,9 @@
 // -faults skips the workload entirely and runs the fault-injection
 // chaos smoke: a replayable fault schedule driven through every
 // built-in structure kind via the public API, asserting that every
-// query resolves to a result, an architectural fault, or a software
-// fallback. It exits non-zero if any query fails to resolve.
+// query resolves to a result or an architectural fault, and that every
+// faulted query re-executed on the software walker returns the right
+// answer. It exits non-zero otherwise.
 //
 // -scheme all runs the software baseline plus every integration scheme
 // and prints a side-by-side comparison, fanning the runs across

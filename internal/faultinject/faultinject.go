@@ -14,7 +14,7 @@
 //
 // The Injector is armed only while the accelerator executes a query
 // (package qei brackets execute with Arm/Disarm), so host-side structure
-// builders and the software fallback path always see clean memory. Every
+// builders and the software walker always see clean memory. Every
 // hook is nil-safe and disarmed-safe: a simulation without fault
 // injection pays one predictable branch and cannot diverge by a cycle.
 package faultinject
@@ -170,7 +170,7 @@ func (i *Injector) Schedule() Schedule {
 }
 
 // Arm enables injection. The accelerator arms around query execution so
-// host-side builders and the software fallback stay uncorrupted.
+// host-side builders and the software walker stay uncorrupted.
 func (i *Injector) Arm() {
 	if i != nil {
 		i.armed = true

@@ -39,8 +39,8 @@ import (
 // the same guest memory, and any query that deviates from the clean
 // walk — injected fault, watchdog, structural anomaly, firmware
 // exception — is handed back (deferred) to the caller, who re-executes
-// it on the unchanged per-query path with its full retry/fallback
-// ladder. A batched query therefore either completes with exactly the
+// it on the unchanged per-query path with its retry-from-root. A
+// batched query therefore either completes with exactly the
 // per-query result or is never resolved by the batch engine at all.
 const batchMaxTransitions = 1 << 20
 
@@ -311,8 +311,8 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 				c.res = Result{Found: req.Found, Value: req.Value, Matches: c.q.Matches}
 				c.done = true
 			case cfa.StateException:
-				// Architectural faults go through the per-query path so the
-				// full retry/backoff/fallback ladder applies.
+				// Architectural faults go through the per-query path so its
+				// retry-from-root with backoff applies.
 				c.deferred = true
 			default:
 				c.state = req.Next

@@ -730,7 +730,7 @@ func (a *Accelerator) execute(ins *instance, qd *isa.QueryDesc, t0 uint64) uint6
 	ins.qstSeq++
 
 	// Fault injection fires only while the accelerator itself runs, so
-	// structure builders, fallback execution, and result polling stay
+	// structure builders, software walks, and result polling stay
 	// exact.
 	a.fi.Arm()
 	defer a.fi.Disarm()

@@ -43,10 +43,16 @@ func (s BreakerState) String() string {
 // ages out before the next one lands.
 const (
 	DefaultBreakerWindow     = 32768
-	DefaultBreakerBuckets    = 8
-	DefaultBreakerTripRate   = 0.5
 	DefaultBreakerMinSamples = 8
 	DefaultBreakerProbes     = 4
+)
+
+// The window is subdivided into breakerBuckets buckets, so outcomes
+// age out an eighth of the window at a time, and the breaker opens once
+// breakerTripRate of the window's outcomes are faults.
+const (
+	breakerBuckets  = 8
+	breakerTripRate = 0.5
 )
 
 // BreakerConfig tunes the primary-path circuit breaker. The zero value
@@ -59,15 +65,8 @@ type BreakerConfig struct {
 	// Window is the sliding fault-rate window in simulated cycles.
 	// 0 uses DefaultBreakerWindow.
 	Window uint64 `json:"window,omitempty"`
-	// Buckets subdivides the window; outcomes age out a bucket at a
-	// time, so more buckets track the rate more smoothly for a little
-	// more state. 0 uses DefaultBreakerBuckets.
-	Buckets int `json:"buckets,omitempty"`
-	// TripRate is the fault fraction within the window at which the
-	// breaker opens. 0 uses DefaultBreakerTripRate.
-	TripRate float64 `json:"trip_rate,omitempty"`
-	// MinSamples is the minimum window population before TripRate is
-	// evaluated — a single early fault must not trip an idle breaker.
+	// MinSamples is the minimum window population before the trip rate
+	// is evaluated — a single early fault must not trip an idle breaker.
 	// 0 uses DefaultBreakerMinSamples.
 	MinSamples uint64 `json:"min_samples,omitempty"`
 	// OpenFor is how long an open breaker holds before half-opening, in
@@ -83,12 +82,6 @@ type BreakerConfig struct {
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window == 0 {
 		c.Window = DefaultBreakerWindow
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = DefaultBreakerBuckets
-	}
-	if c.TripRate <= 0 {
-		c.TripRate = DefaultBreakerTripRate
 	}
 	if c.MinSamples == 0 {
 		c.MinSamples = DefaultBreakerMinSamples
@@ -129,9 +122,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
 	return &Breaker{
 		cfg:   cfg,
-		width: cfg.Window / uint64(cfg.Buckets),
-		ok:    make([]uint64, cfg.Buckets),
-		bad:   make([]uint64, cfg.Buckets),
+		width: cfg.Window / breakerBuckets,
+		ok:    make([]uint64, breakerBuckets),
+		bad:   make([]uint64, breakerBuckets),
 	}
 }
 
@@ -143,11 +136,11 @@ func (b *Breaker) rotate(now uint64) {
 		return
 	}
 	n := abs - b.slot
-	if n > uint64(b.cfg.Buckets) {
-		n = uint64(b.cfg.Buckets)
+	if n > breakerBuckets {
+		n = breakerBuckets
 	}
 	for i := uint64(1); i <= n; i++ {
-		idx := (b.slot + i) % uint64(b.cfg.Buckets)
+		idx := (b.slot + i) % breakerBuckets
 		b.ok[idx] = 0
 		b.bad[idx] = 0
 	}
@@ -205,7 +198,7 @@ func (b *Breaker) Allow(now uint64) bool {
 // Record feeds one primary-backend outcome (ok = completed without a
 // fault) observed at cycle now into the window and runs the state
 // machine: a closed breaker trips when the window's fault rate reaches
-// TripRate with at least MinSamples outcomes; a half-open breaker
+// breakerTripRate with at least MinSamples outcomes; a half-open breaker
 // closes after HalfOpenProbes consecutive successes and reopens on any
 // fault.
 func (b *Breaker) Record(now uint64, ok bool) {
@@ -224,7 +217,7 @@ func (b *Breaker) Record(now uint64, ok bool) {
 		}
 		return
 	}
-	idx := b.slot % uint64(b.cfg.Buckets)
+	idx := b.slot % breakerBuckets
 	if ok {
 		b.ok[idx]++
 	} else {
@@ -234,7 +227,7 @@ func (b *Breaker) Record(now uint64, ok bool) {
 		return
 	}
 	okN, badN := b.counts()
-	if okN+badN >= b.cfg.MinSamples && float64(badN) >= b.cfg.TripRate*float64(okN+badN) {
+	if okN+badN >= b.cfg.MinSamples && float64(badN) >= breakerTripRate*float64(okN+badN) {
 		b.trip(now)
 	}
 }

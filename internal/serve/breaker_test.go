@@ -8,8 +8,6 @@ import "testing"
 func tb() *Breaker {
 	return NewBreaker(BreakerConfig{
 		Window:         1024,
-		Buckets:        8,
-		TripRate:       0.5,
 		MinSamples:     4,
 		OpenFor:        512,
 		HalfOpenProbes: 2,

@@ -35,6 +35,21 @@ func (f *flakyBackend) QueryAsync(t Table, key []byte) (Handle, error) {
 	return h, nil
 }
 
+// QueryBatch makes flakyBackend a BatchBackend: the batch runs
+// synchronously at the fake latency, and keys among the first
+// failFirst queries fault.
+func (f *flakyBackend) QueryBatch(t Table, keys [][]byte) ([]Result, error) {
+	rs := make([]Result, len(keys))
+	for i, k := range keys {
+		rs[i] = f.lookup(t, k)
+		if f.queries <= f.failFirst {
+			rs[i] = Result{Err: errInjected, Done: rs[i].Done}
+		}
+	}
+	f.now += f.lat
+	return rs, nil
+}
+
 // softBackend is the test safety net: blocking queries over the
 // primary's own tables on the shared clock, at a higher fixed latency —
 // the same shape as the software walker over the accelerator's machine.
@@ -199,55 +214,70 @@ func TestResilienceBreakerRoutesAroundPrimary(t *testing.T) {
 	}
 }
 
+// TestResilienceBreakerRecovers runs a primary that is rotten for its
+// first 12 queries, then heals, under per-query and batched admission:
+// either way the breaker trips, probes, and closes again. Batched probes
+// must flush at once, or a read-only stream would strand them in a
+// half-full buffer and the breaker could never close.
 func TestResilienceBreakerRecovers(t *testing.T) {
-	gen := smallGen(300)
-	reqs, err := Generate(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The primary is rotten for its first 12 queries, then heals.
-	b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 12}
-	soft := &softBackend{p: &b.fakeBackend, lat: 300}
-	tr := trace.New(0)
-	cfg := Config{Gen: gen, Trace: tr, Resilience: &Resilience{
-		MaxRetries: -1,
-		Failover:   soft,
-		Breaker:    BreakerConfig{Window: 2048, MinSamples: 4, OpenFor: 2048, HalfOpenProbes: 2},
-	}}
-	rep, err := Run(b, cfg, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Breaker.Trips == 0 {
-		t.Fatal("rotten prefix never tripped the breaker")
-	}
-	if rep.Breaker.State != "closed" {
-		t.Fatalf("breaker state %q at end of a healed run, want closed", rep.Breaker.State)
-	}
-	if rep.Breaker.Probes == 0 {
-		t.Fatal("breaker closed without probing")
-	}
-	// After closing, the healed primary serves the tail.
-	if b.queries < uint64(len(reqs))/2 {
-		t.Fatalf("primary served only %d of %d queries after healing", b.queries, len(reqs))
-	}
-	// The degraded stretch shows up as a trace span, the trip as a point.
-	var sawTrip, sawDegraded, sawFailover bool
-	for _, e := range tr.Events() {
-		switch e.Name {
-		case "breaker_trip":
-			sawTrip = true
-		case "breaker_degraded":
-			sawDegraded = true
-		case "failover":
-			sawFailover = true
-		}
-		if e.Pid != trace.PidServe && e.Cat == "serve" {
-			t.Fatalf("serve event on pid %d, want %d", e.Pid, trace.PidServe)
-		}
-	}
-	if !sawTrip || !sawDegraded || !sawFailover {
-		t.Fatalf("missing trace events: trip=%v degraded=%v failover=%v", sawTrip, sawDegraded, sawFailover)
+	for _, tc := range []struct {
+		name  string
+		batch int
+	}{{"per-query", 0}, {"batched", 16}} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			gen := smallGen(300)
+			reqs, err := Generate(gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := &flakyBackend{fakeBackend: fakeBackend{lat: 100, cap: 8}, failFirst: 12}
+			soft := &softBackend{p: &b.fakeBackend, lat: 300}
+			tr := trace.New(0)
+			cfg := Config{Gen: gen, Trace: tr, BatchAdmit: tc.batch, Resilience: &Resilience{
+				MaxRetries: -1,
+				Failover:   soft,
+				Breaker:    BreakerConfig{Window: 2048, MinSamples: 4, OpenFor: 2048, HalfOpenProbes: 2},
+			}}
+			rep, err := Run(b, cfg, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Breaker.Trips == 0 {
+				t.Fatal("rotten prefix never tripped the breaker")
+			}
+			if rep.Breaker.State != "closed" {
+				t.Fatalf("breaker state %q at end of a healed run, want closed", rep.Breaker.State)
+			}
+			if rep.Breaker.Probes == 0 {
+				t.Fatal("breaker closed without probing")
+			}
+			if rep.Total.Faults != 0 {
+				t.Fatalf("%d faults retired raw despite failover", rep.Total.Faults)
+			}
+			// After closing, the healed primary serves the tail.
+			if b.queries < uint64(len(reqs))/2 {
+				t.Fatalf("primary served only %d of %d queries after healing", b.queries, len(reqs))
+			}
+			// The degraded stretch shows up as a trace span, the trip as a point.
+			var sawTrip, sawDegraded, sawFailover bool
+			for _, e := range tr.Events() {
+				switch e.Name {
+				case "breaker_trip":
+					sawTrip = true
+				case "breaker_degraded":
+					sawDegraded = true
+				case "failover":
+					sawFailover = true
+				}
+				if e.Pid != trace.PidServe && e.Cat == "serve" {
+					t.Fatalf("serve event on pid %d, want %d", e.Pid, trace.PidServe)
+				}
+			}
+			if !sawTrip || !sawDegraded || !sawFailover {
+				t.Fatalf("missing trace events: trip=%v degraded=%v failover=%v", sawTrip, sawDegraded, sawFailover)
+			}
+		})
 	}
 }
 

@@ -48,11 +48,12 @@ type Config struct {
 	// per tenant and flush through the backend's BatchBackend path in
 	// groups of up to BatchAdmit keys. A tenant's buffer also flushes
 	// before any of its writes (so reads issued before a write never
-	// observe it) and at end of stream. Batched lookups bypass QST slot
-	// admission, retry, and the breaker — the batch engine defers
-	// faulting queries to the per-query path internally — but the
-	// deadline shed still applies at arrival. Requires the backend to
-	// implement BatchBackend.
+	// observe it), at end of stream, and on every lookup while the
+	// breaker is probing a degraded primary. Batched lookups bypass QST
+	// slot admission and the serving-layer retry — the batch engine
+	// re-runs faulting queries on the per-query path internally — but
+	// otherwise take the same resilience policy as per-query admission.
+	// Requires the backend to implement BatchBackend.
 	BatchAdmit int
 }
 
@@ -176,14 +177,8 @@ type expect struct {
 	value uint64
 }
 
-// pendingGet is one lookup buffered for batched admission.
-type pendingGet struct {
-	seq int
-	at  uint64
-	key []byte
-}
-
-// inflight is one issued-but-unretired request.
+// inflight is one issued-but-unretired lookup: in the async queue, or
+// buffered for batched admission (no handle; exp is set at flush).
 type inflight struct {
 	tenant  int
 	seq     int
@@ -219,7 +214,7 @@ type server struct {
 	// Batched admission state (Config.BatchAdmit > 1): the batch-capable
 	// backend view, per-tenant pending lookups, and flush counters.
 	bb           BatchBackend
-	pending      [][]pendingGet
+	pending      [][]inflight
 	batches      uint64
 	batchedReads uint64
 
@@ -308,7 +303,7 @@ func newServer(b Backend, cfg Config, reqs []Request) (*server, error) {
 			return nil, fmt.Errorf("serve: batched admission needs a batch path but backend %s has none", b.Name())
 		}
 		s.bb = bb
-		s.pending = make([][]pendingGet, tenants)
+		s.pending = make([][]inflight, tenants)
 		s.rep.Batch = &BatchReport{}
 	}
 	if cfg.KeepResults {
@@ -394,20 +389,22 @@ func (s *server) serve(req *Request) error {
 		s.shed(req.Tenant, req.Seq, req.At)
 		return nil
 	}
-	// Batched admission: buffer the lookup and flush the tenant's group
-	// through the level-wise engine once it reaches BatchAdmit keys.
-	if s.bb != nil {
-		s.pending[req.Tenant] = append(s.pending[req.Tenant], pendingGet{seq: req.Seq, at: req.At, key: req.Key})
-		if len(s.pending[req.Tenant]) >= s.cfg.BatchAdmit {
-			return s.flushBatch(req.Tenant)
-		}
-		return nil
-	}
 	// Breaker fast-fail: while the primary is judged rotten, requests
 	// route to the software path wholesale. The software query is
 	// synchronous, so no admission slot is taken.
 	if s.brk != nil && !s.allowPrimary() {
 		return s.failover(req.Tenant, req.Seq, req.At, req.Key)
+	}
+	// Batched admission: buffer the lookup and flush the tenant's group
+	// through the level-wise engine once it reaches BatchAdmit keys. A
+	// half-open breaker's probes flush at once, so their outcomes reach
+	// the breaker without waiting for the group to fill.
+	if s.bb != nil {
+		s.pending[req.Tenant] = append(s.pending[req.Tenant], inflight{tenant: req.Tenant, seq: req.Seq, at: req.At, key: req.Key})
+		if len(s.pending[req.Tenant]) >= s.cfg.BatchAdmit || (s.brk != nil && s.brk.State() != BreakerClosed) {
+			return s.flushBatch(req.Tenant)
+		}
+		return nil
 	}
 	// Per-tenant admission: over-bound requests wait on their own
 	// tenant's oldest in-flight query — other tenants keep their
@@ -458,7 +455,7 @@ func (s *server) serve(req *Request) error {
 }
 
 // flushBatch executes one tenant's buffered lookups as a single batch
-// on the backend's batched path and retires every one of them. The
+// on the backend's batched path and settles every one of them. The
 // batch runs synchronously — the backend clock advances to the batch's
 // completion — so a buffered request's latency spans from its arrival
 // to the whole group's finish: the batching wait is charged, not
@@ -486,12 +483,16 @@ func (s *server) flushBatch(tenant int) error {
 	s.batchedReads += uint64(len(pend))
 	// The batch ran synchronously, so the model still holds the answers
 	// it had when the batch went to the backend.
-	for i := range pend {
+	done := s.b.Now()
+	for i, q := range pend {
 		res := rs[i]
 		if res.Done == 0 {
-			res.Done = s.b.Now()
+			res.Done = done
 		}
-		s.retire(tenant, pend[i].seq, pend[i].at, res, s.answer(tenant, pend[i].key))
+		q.exp = s.answer(tenant, q.key)
+		if err := s.settle(q, res, false); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -543,8 +544,7 @@ func (s *server) serveWrite(req *Request) error {
 	return nil
 }
 
-// waitOne retires queue[i], advancing the clock to its completion (and
-// walking the resilience ladder if it faulted).
+// waitOne advances the clock to queue[i]'s completion and settles it.
 func (s *server) waitOne(i int) error {
 	q := s.queue[i]
 	s.queue = append(s.queue[:i], s.queue[i+1:]...)
@@ -552,12 +552,12 @@ func (s *server) waitOne(i int) error {
 	if err != nil {
 		return fmt.Errorf("serve: request %d: %w", q.seq, err)
 	}
-	return s.finish(q, res)
+	return s.settle(q, res, true)
 }
 
 // pollRetire retires everything already complete at the current clock,
-// without advancing it. Completions are collected first and finished
-// after the scan: finish may requeue a retry, which would otherwise
+// without advancing it. Completions are collected first and settled
+// after the scan: settle may requeue a retry, which would otherwise
 // clobber the in-place compaction.
 func (s *server) pollRetire() error {
 	kept := s.queue[:0]
@@ -577,55 +577,70 @@ func (s *server) pollRetire() error {
 	}
 	s.queue = kept
 	for i := range done {
-		if err := s.finish(done[i], results[i]); err != nil {
+		if err := s.settle(done[i], results[i], true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// finish settles one completed primary execution. Clean results retire;
-// faulting ones walk the resilience ladder — shed if the deadline has
-// passed, retried on the primary while attempts remain and the breaker
-// is closed, then failed over to the safety-net backend (or retired
-// with their fault when there is none).
-func (s *server) finish(q inflight, res Result) error {
+// settle is the one policy step every primary outcome takes, however
+// the request was admitted. The breaker records the outcome and a clean
+// result retires. A fault past its deadline is shed. Any other fault
+// fails over to the safety-net backend, or retires with its fault when
+// there is none — after the reissue rung, for a request that still
+// holds its admission slot (held: async admission). Batched lookups
+// hold no slot and skip the rung: the level-wise engine already re-ran
+// each deferred query on the per-query path, which counts as its retry.
+func (s *server) settle(q inflight, res Result, held bool) error {
 	s.recordPrimary(res.Err == nil)
-	if res.Err == nil || s.res == nil {
-		s.adm.Release(q.tenant)
-		s.retire(q.tenant, q.seq, q.at, res, q.exp)
-		return nil
+	fault := res.Err != nil && s.res != nil
+	// The deadline is judged once, before the rung's backoff moves the
+	// clock: a retry the full backend refused fails over, not sheds.
+	late := fault && s.pastDeadline(q.at)
+	if held && fault && !late {
+		if took, err := s.reissue(q); took || err != nil {
+			return err
+		}
 	}
-	if s.pastDeadline(q.at) {
+	if held {
 		s.adm.Release(q.tenant)
+	}
+	switch {
+	case late:
 		s.shed(q.tenant, q.seq, q.at)
-		return nil
+	case fault && s.res.Failover != nil:
+		return s.failover(q.tenant, q.seq, q.at, q.key)
+	default:
+		s.retire(q.tenant, q.seq, q.at, res, q.exp)
 	}
-	if q.attempt < s.res.maxRetries() && (s.brk == nil || s.brk.State() == BreakerClosed) {
-		// Back off on the shared clock — the pause is charged to this
-		// request and everything queued behind it — then reissue on the
-		// slot the request still holds.
-		s.b.Advance(s.res.retryBackoff(q.attempt))
-		h, err := s.b.QueryAsync(s.tables[q.tenant], q.key)
-		if err == nil {
-			s.acct[q.tenant].retries++
-			s.queue = append(s.queue, inflight{tenant: q.tenant, seq: q.seq, at: q.at, key: q.key,
-				attempt: q.attempt + 1, h: h, exp: s.answer(q.tenant, q.key)})
-			return nil
-		}
-		if !errors.Is(err, ErrBackendFull) {
-			s.adm.Release(q.tenant)
-			return fmt.Errorf("serve: request %d retry: %w", q.seq, err)
-		}
+	return nil
+}
+
+// reissue is the async path's retry rung: while attempts remain and the
+// breaker is closed, back off on the shared clock — the pause is charged
+// to this request and everything queued behind it — then reissue q on
+// the slot it still holds. It reports whether q went back in flight.
+func (s *server) reissue(q inflight) (bool, error) {
+	if q.attempt >= s.res.maxRetries() || (s.brk != nil && s.brk.State() != BreakerClosed) {
+		return false, nil
+	}
+	s.b.Advance(s.res.retryBackoff(q.attempt))
+	h, err := s.b.QueryAsync(s.tables[q.tenant], q.key)
+	if errors.Is(err, ErrBackendFull) {
 		// Every QST entry is occupied: skip the retry and degrade now
 		// rather than stalling the pipeline behind one request.
+		return false, nil
 	}
-	s.adm.Release(q.tenant)
-	if s.res.Failover == nil {
-		s.retire(q.tenant, q.seq, q.at, res, q.exp)
-		return nil
+	if err != nil {
+		return false, fmt.Errorf("serve: request %d retry: %w", q.seq, err)
 	}
-	return s.failover(q.tenant, q.seq, q.at, q.key)
+	s.acct[q.tenant].retries++
+	q.attempt++
+	q.h = h
+	q.exp = s.answer(q.tenant, q.key)
+	s.queue = append(s.queue, q)
+	return true, nil
 }
 
 // failover executes one request on the safety-net backend, charging the

@@ -115,6 +115,55 @@ func TestServingChaosDeterministicAnyParallel(t *testing.T) {
 	}
 }
 
+// TestServingFailoverEveryAdmissionPath pins that the serving layer's
+// one degradation policy applies however a lookup was admitted. With
+// every accelerator execution faulting, each completed lookup — admitted
+// per query or through batches — was served by the software failover
+// (breaker fast-fails included), and no fault surfaces. A partial fault
+// schedule under batching still fails over and surfaces nothing.
+func TestServingFailoverEveryAdmissionPath(t *testing.T) {
+	cases := []struct {
+		name   string
+		faults string
+		batch  int
+		all    bool // every accelerator execution faults
+	}{
+		{"per-query", "3:spurious=1", 0, true},
+		{"batched", "3:spurious=1", 16, true},
+		{"batched-partial", "9:spurious=0.3,shootdown=0.05", 16, false},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultServingConfig()
+			cfg.Resilient = true
+			cfg.BatchAdmit = tc.batch
+			spec := MustParseFaultSpec(tc.faults)
+			cfg.Faults = &spec
+			rep, err := RunServing(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tot := rep.Total
+			if tot.Faults != 0 {
+				t.Fatalf("%d faults retired raw despite failover", tot.Faults)
+			}
+			if tot.Mismatches != 0 {
+				t.Fatalf("%d answers disagree with the host model", tot.Mismatches)
+			}
+			if tc.all && tot.FailedOver != tot.Requests {
+				t.Fatalf("failed over %d of %d completed lookups, want all", tot.FailedOver, tot.Requests)
+			}
+			if tot.FailedOver == 0 {
+				t.Fatal("no lookup failed over")
+			}
+			if rep.EpochViolations != 0 {
+				t.Fatalf("%d read-after-retire violations", rep.EpochViolations)
+			}
+		})
+	}
+}
+
 // TestServingFaultsWithoutResilience pins the other half of the
 // ServingConfig.Faults contract: with the resilience layer off, the
 // run still completes — injected faults ride in the per-tenant fault
