@@ -187,14 +187,17 @@ func TestNewSystemOptions(t *testing.T) {
 			big.QSTCapacity(), base.QSTCapacity())
 	}
 
-	traced := NewSystem(CoreIntegrated, WithQuerySpans())
+	traced := NewSystem(CoreIntegrated, WithTimeline())
 	keys, vals := testKeys(8, 16, 15)
 	tb := mustBuild(t, traced, KindCuckoo, keys, vals)
 	if _, err := traced.Query(tb, keys[0]); err != nil {
 		t.Fatal(err)
 	}
-	if doc := traced.ExportTrace(); !strings.Contains(doc, `"cat":"qst"`) {
-		t.Fatalf("WithQuerySpans recorded no spans: %s", doc)
+	if n := strings.Count(traced.ExportTrace(), `"cat":"qst"`); n != 1 {
+		t.Fatalf("WithTimeline recorded %d query spans for one query", n)
+	}
+	if doc := base.ExportTrace(); strings.Contains(doc, `"cat"`) {
+		t.Fatalf("ExportTrace without WithTimeline recorded events: %s", doc)
 	}
 
 	// WithSeed steers the mutable skip list's level coins: same seed,

@@ -181,7 +181,7 @@ func (s *System) queryBatchLevelWise(t Table, keys [][]byte) ([]Result, error) {
 
 	done, deferred, err := s.accel.ExecuteBatch(descs, issue)
 	if err != nil {
-		return nil, fmt.Errorf("qei: batch: %w", err)
+		return nil, fmt.Errorf("batch: %w", err)
 	}
 	if done > s.now {
 		s.now = done

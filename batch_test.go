@@ -222,10 +222,11 @@ func TestQueryBatchLevelWiseDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueryBatchForeignStall pins the windowed path's foreign-stall
-// contract: when every QST entry is held by foreign entries that can
+// TestQueryBatchForeignStall pins the foreign-stall contract of both
+// batch paths: when every QST entry is held by foreign entries that can
 // never complete, QueryBatch surfaces an error satisfying
-// errors.Is(err, ErrQSTFull) instead of spinning or panicking.
+// errors.Is(err, ErrQSTFull), with one qei: prefix, instead of spinning
+// or panicking.
 func TestQueryBatchForeignStall(t *testing.T) {
 	keys, vals := testKeys(64, 16, 61)
 	s := NewSystem(CoreIntegrated)
@@ -241,15 +242,17 @@ func TestQueryBatchForeignStall(t *testing.T) {
 	p.QSTEntriesPerInstance = 0
 	s.accel = iqei.New(s.m, p, s.reg, 0)
 
-	_, err = s.QueryBatch(tb, keys[:8], WithBatchMode(BatchWindowed))
-	if err == nil {
-		t.Fatal("windowed batch on a fully-foreign QST returned no error")
-	}
-	if !errors.Is(err, ErrQSTFull) {
-		t.Fatalf("foreign-stall error does not satisfy errors.Is(err, ErrQSTFull): %v", err)
-	}
-	if n := strings.Count(err.Error(), "qei:"); n != 1 {
-		t.Fatalf("foreign-stall error %q repeats the qei: prefix", err)
+	for _, mode := range []BatchMode{BatchWindowed, BatchLevelWise} {
+		_, err = s.QueryBatch(tb, keys[:8], WithBatchMode(mode))
+		if err == nil {
+			t.Fatalf("%s batch on a fully-foreign QST returned no error", mode)
+		}
+		if !errors.Is(err, ErrQSTFull) {
+			t.Fatalf("%s foreign-stall error does not satisfy errors.Is(err, ErrQSTFull): %v", mode, err)
+		}
+		if n := strings.Count(err.Error(), "qei:"); n != 1 {
+			t.Fatalf("%s foreign-stall error %q repeats the qei: prefix", mode, err)
+		}
 	}
 }
 

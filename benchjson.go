@@ -172,15 +172,9 @@ func BenchMatrix(s Scale, opts ...ExpOption) (TableData, error) {
 // <dir>/BENCH_<name>.json and returns the file path.
 func WriteBenchJSON(dir, name string, results []BenchResult) (string, error) {
 	path := filepath.Join(dir, "BENCH_"+name+".json")
-	return path, WriteBenchJSONFile(path, results)
-}
-
-// WriteBenchJSONFile writes bench records to an explicit file path
-// (qeibench's -benchjson flag; WriteBenchJSON derives the name).
-func WriteBenchJSONFile(path string, results []BenchResult) error {
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		return err
+		return path, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -42,6 +42,29 @@ QEI_BENCH_GUARD=1 go test -run '^TestBenchGuard$' -count=1 -short . ./internal/c
 # process (qeisim exits non-zero otherwise).
 go run ./cmd/qeisim -faults "7:flip=0.05,nocdelay=0.1,nocdrop=0.05,shootdown=0.1,spurious=0.05,evict=0.1"
 
+# Trace smoke: an ROI run's unified timeline must fit the tracer's ring
+# (nothing dropped), parse as JSON, and carry the QST query spans. A
+# -trace that cannot be honoured (-scheme all) must fail, not exit 0
+# without writing the file.
+trace_file=$(mktemp)
+trace_out=$(go run ./cmd/qeisim -workload dpdk -scheme core -mode roi -trace "$trace_file")
+case "$trace_out" in
+*'(0 dropped)'*) ;;
+*)
+	echo "trace-smoke: qeisim dropped trace events or wrote none: $trace_out" >&2
+	exit 1
+	;;
+esac
+if ! python3 -c 'import json, sys; sys.exit(not any(e["cat"] == "qst" for e in json.load(open(sys.argv[1]))["traceEvents"]))' "$trace_file"; then
+	echo "trace-smoke: trace is not JSON or has no qst query span" >&2
+	exit 1
+fi
+if go run ./cmd/qeisim -workload dpdk -scheme all -trace "$trace_file" >/dev/null 2>&1; then
+	echo "trace-smoke: qeisim -scheme all accepted -trace" >&2
+	exit 1
+fi
+rm -f "$trace_file"
+
 # Examples: each one verifies its answers against host-side reference
 # lookups and exits non-zero on a mismatch, so running them (not only
 # compiling them) keeps the documented API paths working.

@@ -47,7 +47,6 @@ func main() {
 	csvFlag := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonFlag := flag.Bool("json", false, "run the bench matrix and write machine-readable BENCH_bench.json")
 	outFlag := flag.String("out", ".", "directory for -json output")
-	benchJSONFlag := flag.String("benchjson", "", "run the bench matrix and write its records to this exact file path")
 	batchFlag := flag.Int("batch", 0, "run the level-wise batch demo at this batch size across every kind (0 = off)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
@@ -109,7 +108,7 @@ func main() {
 			counters["batch/lines_deduped"], counters["batch/coalesced_probes"], counters["batch/deferred"])
 		return
 	}
-	if *jsonFlag || *benchJSONFlag != "" {
+	if *jsonFlag {
 		rs, err := qei.RunBench(scale, qei.WithContext(ctx), qei.WithParallelism(*parFlag))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: bench: %v\n", err)
@@ -124,13 +123,8 @@ func main() {
 			os.Exit(1)
 		}
 		rs = append(rs, brs...)
-		path := *benchJSONFlag
-		if *jsonFlag {
-			if path, err = qei.WriteBenchJSON(*outFlag, "bench", rs); err != nil {
-				fmt.Fprintf(os.Stderr, "qeibench: %v\n", err)
-				os.Exit(1)
-			}
-		} else if err = qei.WriteBenchJSONFile(path, rs); err != nil {
+		path, err := qei.WriteBenchJSON(*outFlag, "bench", rs)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "qeibench: %v\n", err)
 			os.Exit(1)
 		}

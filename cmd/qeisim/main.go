@@ -24,7 +24,8 @@
 // -metrics appends the run's full counter snapshot (component-path
 // names, one per line); -trace writes the unified cycle-stamped event
 // timeline as Chrome trace-event JSON (open in Perfetto or
-// chrome://tracing). Both apply to single-scheme, single-core runs.
+// chrome://tracing). Both apply to single-scheme, single-core runs;
+// combining either with -scheme all or -cores > 1 exits 2.
 package main
 
 import (
@@ -113,14 +114,21 @@ func main() {
 		opts = append(opts, workload.WithMachine(d.MachineConfig()))
 	}
 
+	observed := *metricsFlag || *traceFlag != ""
 	if *coresFlag > 1 {
 		if desc != nil {
 			fail("-machine is not supported with -cores > 1")
+		}
+		if observed {
+			fail("-metrics and -trace are not supported with -cores > 1")
 		}
 		runMultiCore(bench, *schemeFlag, *coresFlag)
 		return
 	}
 	if *schemeFlag == "all" {
+		if observed {
+			fail("-metrics and -trace are not supported with -scheme all")
+		}
 		runAllSchemes(bench, mode, *nbFlag, *parFlag, opts)
 		return
 	}

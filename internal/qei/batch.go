@@ -89,6 +89,9 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 	}
 
 	ins := a.pickInstance(qds[0])
+	if len(ins.qstRing) == 0 {
+		return 0, nil, fmt.Errorf("%w: no entry for a batched instruction", ErrQSTFull)
+	}
 	a.stats.BatchBatches++
 
 	// One batched issue transaction carries every descriptor.
@@ -428,8 +431,7 @@ func (a *Accelerator) ExecuteBatch(qds []*isa.QueryDesc, issue uint64) (uint64, 
 		if res.Done > batchDone {
 			batchDone = res.Done
 		}
-		a.recordSpan(Span{Tag: w.tag, Start: start, End: res.Done,
-			Instance: a.instanceIndex(ins), Slot: int(slot)})
+		a.recordSpan(ins, int(slot), start, res.Done, false)
 	}
 
 	ins.qstRing[slot] = batchDone

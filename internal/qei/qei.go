@@ -212,9 +212,6 @@ type Accelerator struct {
 	// nbInFlight tracks non-blocking queries for interrupt flushes.
 	nbInFlight map[uint64]nbRecord
 
-	// traceOn/spans collect query timelines for ExportChromeTrace.
-	traceOn bool
-	spans   []Span
 	// tr is the unified event tracer (SetTracer); nil disables emission.
 	tr *trace.Tracer
 	// remoteOps are per-slice cha<i>/cmp/remote_ops counters
@@ -761,8 +758,7 @@ func (a *Accelerator) execute(ins *instance, qd *isa.QueryDesc, t0 uint64) uint6
 	a.results[qd.Tag] = res
 	ins.qstRing[slot] = t
 	a.noteFinish(start, t)
-	a.recordSpan(Span{Tag: qd.Tag, Start: start, End: t,
-		Instance: a.instanceIndex(ins), Slot: int(slot), Fault: res.Fault != nil})
+	a.recordSpan(ins, int(slot), start, t, res.Fault != nil)
 	return t
 }
 

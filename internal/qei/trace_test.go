@@ -2,19 +2,53 @@ package qei
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"qei/internal/dstruct"
 	"qei/internal/isa"
 	"qei/internal/scheme"
+	"qei/internal/trace"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/query_trace_golden.json from the current tracer export")
+
+// traceEvent is one parsed Chrome trace-event entry.
+type traceEvent struct {
+	Name string `json:"name"`
+	Cat  string `json:"cat"`
+	Ph   string `json:"ph"`
+	TS   uint64 `json:"ts"`
+	Dur  uint64 `json:"dur"`
+	Pid  int    `json:"pid"`
+	Tid  int    `json:"tid"`
+}
+
+// qstSpans parses an exported trace document (failing the test if it is
+// not valid trace-event JSON) and returns its "qst" query spans.
+func qstSpans(t *testing.T, doc string) []traceEvent {
+	t.Helper()
+	var parsed struct {
+		TraceEvents []traceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(doc), &parsed); err != nil {
+		t.Fatalf("trace not valid JSON: %v\n%s", err, doc)
+	}
+	var out []traceEvent
+	for _, e := range parsed.TraceEvents {
+		if e.Cat == "qst" {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 func TestTracingSpansAndExport(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
-	a.EnableTracing()
+	tr := trace.New(0)
+	a.SetTracer(tr)
 	keys, vals := genKeys(50, 16, 60)
 	ck := dstruct.BuildCuckoo(m.AS, 64, 4, 5, keys, vals)
 	for i := 0; i < 20; i++ {
@@ -23,26 +57,29 @@ func TestTracingSpansAndExport(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spans := a.Spans()
+	spans := qstSpans(t, tr.Export())
 	if len(spans) != 20 {
-		t.Fatalf("spans = %d, want 20", len(spans))
+		t.Fatalf("qst spans = %d, want 20", len(spans))
 	}
 	for _, s := range spans {
-		if s.End < s.Start {
-			t.Fatalf("span %d ends before start", s.Tag)
+		if s.Ph != "X" {
+			t.Fatalf("span %+v is not a complete event (ph=X)", s)
 		}
-		if s.Fault {
-			t.Fatalf("span %d unexpectedly faulted", s.Tag)
+		if s.Name != "query" {
+			t.Fatalf("span %+v unexpectedly named %q", s, s.Name)
 		}
-		if s.Slot < 0 || s.Slot >= 10 {
-			t.Fatalf("span %d in slot %d — QST has 10", s.Tag, s.Slot)
+		if s.Pid != trace.PidQST(0) {
+			t.Fatalf("span %+v off the core-integrated instance's track", s)
+		}
+		if s.Tid < 0 || s.Tid >= 10 {
+			t.Fatalf("span %+v in slot %d — QST has 10", s, s.Tid)
 		}
 	}
 	// Overlap: with all 20 issued at cycle 0, at least two spans overlap.
 	overlap := false
 	for i := range spans {
 		for j := i + 1; j < len(spans); j++ {
-			if spans[i].Start < spans[j].End && spans[j].Start < spans[i].End {
+			if spans[i].TS < spans[j].TS+spans[j].Dur && spans[j].TS < spans[i].TS+spans[i].Dur {
 				overlap = true
 			}
 		}
@@ -50,53 +87,47 @@ func TestTracingSpansAndExport(t *testing.T) {
 	if !overlap {
 		t.Fatal("no overlapping spans — QST parallelism invisible")
 	}
-
-	// The export must be valid JSON in the Chrome trace-event object form
-	// ({"traceEvents":[...]}, accepted by chrome://tracing and Perfetto).
-	doc := ExportChromeTrace(spans)
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(doc), &parsed); err != nil {
-		t.Fatalf("trace not valid JSON: %v\n%s", err, doc)
-	}
-	if len(parsed.TraceEvents) != 20 {
-		t.Fatalf("trace has %d events", len(parsed.TraceEvents))
-	}
-	if parsed.TraceEvents[0]["ph"] != "X" {
-		t.Fatal("events must be complete spans (ph=X)")
-	}
 }
 
 func TestTracingFaultMarked(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
-	a.EnableTracing()
+	tr := trace.New(0)
+	a.SetTracer(tr)
 	key := stage(m, make([]byte, 8))
 	if _, err := a.IssueBlocking(&isa.QueryDesc{HeaderAddr: 0xbad0000, KeyAddr: key, Tag: 9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	spans := a.Spans()
-	if len(spans) != 1 || !spans[0].Fault {
-		t.Fatalf("faulting span not recorded: %+v", spans)
-	}
-	if !strings.Contains(ExportChromeTrace(spans), "EXCEPTION") {
-		t.Fatal("fault not visible in export")
+	spans := qstSpans(t, tr.Export())
+	if len(spans) != 1 || spans[0].Name != "query!EXCEPTION" {
+		t.Fatalf("faulting query's span not marked: %+v", spans)
 	}
 }
 
-// TestExportChromeTraceGolden pins the exported bytes for a fixed span
-// set: field ordering, the qst category, PidQST track mapping, and the
-// EXCEPTION marker must not drift. Regenerate with UPDATE_GOLDEN=1.
+// TestExportChromeTraceGolden pins the tracer's exported bytes for a
+// fixed multi-instance run with a faulting query: field ordering, the
+// qst/cha/tlb categories, PidQST track mapping, and the EXCEPTION
+// marker must not drift. Regenerate with `go test -run
+// TestExportChromeTraceGolden -update`.
 func TestExportChromeTraceGolden(t *testing.T) {
-	spans := []Span{
-		{Tag: 7, Start: 40, End: 95, Instance: 1, Slot: 4},
-		{Tag: 3, Start: 10, End: 60, Instance: 0, Slot: 2},
-		{Tag: 9, Start: 25, End: 25, Instance: 0, Slot: 3, Fault: true},
+	m, a := newAccel(t, scheme.CHATLB)
+	tr := trace.New(0)
+	a.SetTracer(tr)
+	keys, vals := genKeys(16, 16, 62)
+	ck := dstruct.BuildCuckoo(m.AS, 16, 4, 5, keys, vals)
+	for i := 0; i < 4; i++ {
+		qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: stage(m, keys[i]), Tag: uint64(i)}
+		if _, err := a.IssueBlocking(qd, uint64(10*i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := ExportChromeTrace(spans)
+	bad := &isa.QueryDesc{HeaderAddr: 0xbad0000, KeyAddr: stage(m, keys[0]), Tag: 4}
+	if _, err := a.IssueBlocking(bad, 40); err != nil {
+		t.Fatal(err)
+	}
+	got := tr.Export()
 
-	golden := filepath.Join("testdata", "chrome_trace_golden.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
+	golden := filepath.Join("testdata", "query_trace_golden.json")
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -106,33 +137,30 @@ func TestExportChromeTraceGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("read golden (set UPDATE_GOLDEN=1 to generate): %v", err)
+		t.Fatalf("read golden (run with -update to generate): %v", err)
 	}
 	if got != string(want) {
 		t.Fatalf("export drifted from golden file\n--- got:\n%s--- want:\n%s", got, want)
 	}
 
-	// The golden document must itself satisfy the trace-event schema.
-	var parsed struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(got), &parsed); err != nil {
-		t.Fatalf("golden export not valid JSON: %v", err)
-	}
-	if len(parsed.TraceEvents) != 3 {
-		t.Fatalf("golden export has %d events, want 3", len(parsed.TraceEvents))
+	spans := qstSpans(t, got)
+	if len(spans) != 5 || spans[len(spans)-1].Name != "query!EXCEPTION" {
+		t.Fatalf("golden export has qst spans %+v, want 5 ending in the fault", spans)
 	}
 }
 
 func TestTracingOffByDefault(t *testing.T) {
 	m, a := newAccel(t, scheme.CoreIntegrated)
+	tr := trace.New(0)
+	a.SetTracer(tr)
+	a.SetTracer(nil) // detach: a nil tracer records nothing
 	keys, vals := genKeys(5, 16, 61)
 	ck := dstruct.BuildCuckoo(m.AS, 16, 4, 5, keys, vals)
 	qd := &isa.QueryDesc{HeaderAddr: ck.HeaderAddr, KeyAddr: stage(m, keys[0]), Tag: 0}
 	if _, err := a.IssueBlocking(qd, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Spans()) != 0 {
-		t.Fatal("spans collected without EnableTracing")
+	if tr.Len() != 0 {
+		t.Fatalf("detached tracer recorded %d events", tr.Len())
 	}
 }

@@ -154,14 +154,14 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// ExportChromeTrace serializes events as a Chrome trace-event JSON
-// document ({"traceEvents":[...]}) accepted by chrome://tracing and
+// Export serializes the tracer's buffered events as a Chrome trace-event
+// JSON document ({"traceEvents":[...]}) accepted by chrome://tracing and
 // Perfetto. Events are ordered by (TS, Pid, Tid, Name) and fields are
 // written in a fixed order, so identical traces export to identical
-// bytes — the property the golden-file tests pin down.
-func ExportChromeTrace(events []Event) string {
-	sorted := make([]Event, len(events))
-	copy(sorted, events)
+// bytes — the property the golden-file tests pin down. A nil tracer
+// exports an empty event list.
+func (t *Tracer) Export() string {
+	sorted := t.Events()
 	sort.SliceStable(sorted, func(i, j int) bool {
 		a, b := sorted[i], sorted[j]
 		if a.TS != b.TS {
@@ -211,9 +211,4 @@ func ExportChromeTrace(events []Event) string {
 	}
 	b.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
 	return b.String()
-}
-
-// Export serializes the tracer's buffered events; see ExportChromeTrace.
-func (t *Tracer) Export() string {
-	return ExportChromeTrace(t.Events())
 }

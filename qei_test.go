@@ -262,12 +262,21 @@ func TestFig1SmallScale(t *testing.T) {
 		t.Fatalf("Fig1 rows = %d, want 5", len(res.Rows))
 	}
 	for _, r := range res.Rows {
-		var pct float64
-		if _, err := fmt.Sscanf(r[1], "%f", &pct); err != nil {
-			t.Fatal(err)
+		var pct, mispredicts, loads, ipc float64
+		for i, v := range []*float64{&pct, &mispredicts, &loads, &ipc} {
+			if _, err := fmt.Sscanf(r[i+1], "%f", v); err != nil {
+				t.Fatalf("%s column %s: %v", r[0], res.Headers[i+1], err)
+			}
 		}
 		if pct < 15 || pct > 60 {
 			t.Fatalf("%s query share %.1f%% outside plausible band", r[0], pct)
+		}
+		if loads <= 0 || mispredicts < 0 {
+			t.Fatalf("%s: %.1f loads and %.2f mispredicts per query", r[0], loads, mispredicts)
+		}
+		// The core's 4-wide issue bounds IPC.
+		if ipc <= 0 || ipc > 4 {
+			t.Fatalf("%s ROI IPC %.2f outside (0, 4]", r[0], ipc)
 		}
 	}
 }
@@ -287,17 +296,16 @@ func TestFig11SmallScale(t *testing.T) {
 }
 
 func TestPublicTracing(t *testing.T) {
-	sys := NewSystem(CoreIntegrated)
+	sys := NewSystem(CoreIntegrated, WithTimeline())
 	keys, vals := testKeys(64, 16, 70)
 	tb := mustBuild(t, sys, KindCuckoo, keys, vals)
-	sys.EnableTracing()
 	for i := 0; i < 12; i++ {
 		if _, err := sys.Query(tb, keys[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	doc := sys.ExportTrace()
-	if !strings.Contains(doc, `"ph":"X"`) || !strings.Contains(doc, "query-") {
-		t.Fatalf("trace export malformed:\n%s", doc)
+	if n := strings.Count(doc, `"cat":"qst","ph":"X"`); n != 12 {
+		t.Fatalf("trace export has %d qst spans, want 12:\n%s", n, doc)
 	}
 }

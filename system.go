@@ -152,7 +152,6 @@ type Option func(*sysConfig)
 
 type sysConfig struct {
 	qstSize     int
-	tracing     bool
 	metrics     bool
 	trace       bool
 	seed        int64
@@ -166,14 +165,6 @@ type sysConfig struct {
 // internal/scheme constants.
 func WithQSTSize(n int) Option {
 	return func(c *sysConfig) { c.qstSize = n }
-}
-
-// WithQuerySpans enables accelerator query-span recording from the
-// first query: one span per query (issue→completion, QST instance and
-// slot), exported by ExportTrace when the unified timeline is off. See
-// EnableTracing for enabling mid-run.
-func WithQuerySpans() Option {
-	return func(c *sysConfig) { c.tracing = true }
 }
 
 // WithSeed sets the seed for the system's randomized software routines
@@ -263,9 +254,6 @@ func NewSystem(s Scheme, opts ...Option) *System {
 	}
 	sys.accel.RegisterMetrics(mreg)
 	sys.accel.SetTracer(tracer)
-	if cfg.tracing {
-		sys.accel.EnableTracing()
-	}
 	if cfg.faults != nil {
 		sys.fi = faultinject.New(cfg.faults.sched)
 		m.AttachFaultInjection(sys.fi)
@@ -469,22 +457,14 @@ func (s *System) Poll(h AsyncHandle) (Result, error) {
 	}, nil
 }
 
-// EnableTracing starts recording one span per query (issue→completion,
-// QST instance and slot). ExportTrace renders the spans in Chrome
-// tracing JSON (chrome://tracing, Perfetto), making the QST's
-// out-of-order overlap visible — the pipelined-CFA picture of Sec. IV-B.
-func (s *System) EnableTracing() { s.accel.EnableTracing() }
-
-// ExportTrace returns the recorded trace as a Chrome trace-event JSON
-// document. With WithTimeline it renders the unified cycle-stamped
-// timeline (every component's events); otherwise it falls back to the
-// query-span export driven by EnableTracing/WithQuerySpans.
-func (s *System) ExportTrace() string {
-	if s.tracer != nil {
-		return s.tracer.Export()
-	}
-	return qei.ExportChromeTrace(s.accel.Spans())
-}
+// ExportTrace returns the unified cycle-stamped timeline recorded under
+// WithTimeline as a Chrome trace-event JSON document (chrome://tracing,
+// Perfetto). Every query is a span on its QST instance's track, one row
+// per slot, so the QST's out-of-order overlap — the pipelined-CFA
+// picture of Sec. IV-B — is visible next to every other component's
+// events. Without WithTimeline nothing is recorded and the document has
+// an empty event list.
+func (s *System) ExportTrace() string { return s.tracer.Export() }
 
 // Metric is one named simulator counter, read by Metrics().
 type Metric struct {
